@@ -77,7 +77,6 @@ def main(argv: list[str] | None = None) -> int:
     r.add_argument("--table", required=True)
     r.add_argument("--partitions", type=int, default=32)
     r.add_argument("--epochs-per-commit", type=int, default=None)
-    r.add_argument("--exchange", choices=["staged", "sort"], default="staged")
     r.add_argument("--merge-policy", choices=["rewrite", "delta"], default="rewrite",
                    help="rewrite = copy-on-write partition files; delta = "
                         "merge-on-read epoch deltas (fold with `compact`)")
@@ -139,7 +138,6 @@ def main(argv: list[str] | None = None) -> int:
     bs.add_argument("--partitions", type=int, default=32)
     bs.add_argument("--key", default="doc_id",
                     help="snapshot key column (renamed to doc_id)")
-    bs.add_argument("--exchange", choices=["staged", "sort"], default="staged")
     bs.add_argument("--merge-policy", choices=["rewrite", "delta"], default="rewrite")
     bs.add_argument("--update-mode", choices=["replace", "coalesce"], default="replace",
                     help="set coalesce if the changelog you will tail carries "
@@ -152,7 +150,6 @@ def main(argv: list[str] | None = None) -> int:
     tl.add_argument("--poll-interval", type=float, default=5.0)
     tl.add_argument("--idle-polls", type=int, default=3)
     tl.add_argument("--merge-policy", choices=["rewrite", "delta"], default="rewrite")
-    tl.add_argument("--exchange", choices=["staged", "sort"], default="staged")
     tl.add_argument("--auto-compact", type=int, default=None,
                     help="with --merge-policy delta: fold deltas whenever a "
                          "partition stacks more than N of them")
@@ -1055,13 +1052,13 @@ def main(argv: list[str] | None = None) -> int:
             if len(args.changelog) > 1:
                 m = replay_union(
                     args.changelog, args.table, num_partitions=args.partitions,
-                    exchange=args.exchange, merge_policy=args.merge_policy,
-                    renames=renames, update_mode=args.update_mode,
+                    merge_policy=args.merge_policy, renames=renames,
+                    update_mode=args.update_mode,
                 )
             else:
                 m = replay(
                     args.changelog[0], args.table, num_partitions=args.partitions,
-                    epochs_per_commit=args.epochs_per_commit, exchange=args.exchange,
+                    epochs_per_commit=args.epochs_per_commit,
                     merge_policy=args.merge_policy, renames=renames,
                     update_mode=args.update_mode,
                 )
@@ -1106,8 +1103,8 @@ def main(argv: list[str] | None = None) -> int:
 
             m = bootstrap_table(
                 args.snapshot, args.table, num_partitions=args.partitions,
-                key=args.key, exchange=args.exchange,
-                merge_policy=args.merge_policy, update_mode=args.update_mode,
+                key=args.key, merge_policy=args.merge_policy,
+                update_mode=args.update_mode,
             )
             print(json.dumps({"epoch": m.epoch, "totals": m.totals,
                               "duplicate_keys": m.totals["events_in"] - m.totals["rows"]}))
@@ -1141,7 +1138,6 @@ def main(argv: list[str] | None = None) -> int:
             m = tail(
                 args.changelog, args.table, num_partitions=args.partitions,
                 poll_interval=args.poll_interval, idle_polls=args.idle_polls,
-                exchange=args.exchange,
                 merge_policy=args.merge_policy, auto_compact=args.auto_compact,
                 renames=dict(kv.split("=", 1) for kv in args.rename) or None,
                 update_mode=args.update_mode,

@@ -231,12 +231,18 @@ class KLL:
 
 
 # compact wire form for manifest embedding (telemetry rides JSON
-# manifests — pickle is bulky and non-portable across versions)
+# manifests — pickle is bulky and non-portable across versions).
+# v2 header: ``<II`` (0, version) then ``<IIQ`` (k, depth, n) — the 64-bit
+# count survives merge-on-read folds past 2^32 items. v1 (``<III`` k,
+# depth, n) is still read: its first word is k, which is never 0.
+_COMPACT_VERSION = 2
+
+
 def kll_to_compact(s: "KLL") -> bytes:
     import struct
     import zlib
 
-    parts = [struct.pack("<III", s.k, len(s.levels), int(s.n))]
+    parts = [struct.pack("<IIIIQ", 0, _COMPACT_VERSION, s.k, len(s.levels), int(s.n))]
     for buf in s.levels:
         b = np.asarray(buf, dtype=np.float32).tobytes()
         parts.append(struct.pack("<I", len(buf)))
@@ -249,8 +255,15 @@ def kll_from_compact(data: bytes) -> "KLL":
     import zlib
 
     raw = zlib.decompress(data)
-    k, depth, n = struct.unpack_from("<III", raw, 0)
-    off = 12
+    (first,) = struct.unpack_from("<I", raw, 0)
+    if first:  # v1
+        k, depth, n = struct.unpack_from("<III", raw, 0)
+        off = 12
+    else:
+        _, version, k, depth, n = struct.unpack_from("<IIIIQ", raw, 0)
+        if version != _COMPACT_VERSION:
+            raise ValueError(f"unknown KLL compact version {version}")
+        off = 24
     out = KLL(k)
     out.n = n
     out.levels = []

@@ -330,8 +330,7 @@ def branch_diff(table_dir: str, name: str, mode: str = "events", fs=None):
         e = man.partitions.get(p)
         if e is None:
             return []
-        rels = ([e["file"]] if e.get("file") else []) + list(e.get("deltas", ()))
-        return [os.path.abspath(os.path.join(root, r)) for r in rels]
+        return [os.path.abspath(os.path.join(root, r)) for r in mf.entry_rels(e)]
 
     work = []
     for p in sorted(set(man_old.partitions) | set(man_new.partitions), key=int):

@@ -5,25 +5,23 @@ Pipeline per epoch batch (all streaming, zero-copy Arrow batches):
     read_parquet(epoch files)
       → map_batches(normalize)        # conform to unified schema, partial
                                       # LWW reduce (combiner), add part col
-      → EXCHANGE on hash(doc_id)%P    # the engine's ONE shuffle; two
-                                      # physical strategies, see below
+      → EXCHANGE on hash(doc_id)%P    # the engine's ONE shuffle (staged)
       → merge per partition           # partition-local: read current state
                                       # file, LWW merge, write deterministic
-                                      # data-eEEEEEE.parquet, emit counters
-      → (tiny counters dataset)       # driver commits manifest atomically
+                                      # data-eEEEEEE.parquet, emit one
+                                      # entry row (partition_entry)
+      → (tiny entry-row dataset)      # driver folds rows into the manifest
+                                      # (fold_entry) and commits atomically
 
-Exchange strategies (``exchange=`` on apply/replay):
-- ``"staged"`` (default): the combiner output is written as
-  hive-partitioned Parquet (``write_parquet(partition_cols=[_part])``) to
-  an ephemeral staging dir, then P merge tasks each read exactly their
-  partition's staged files — a disk-mediated hash shuffle (Spark-style
-  shuffle files on the shared store). Scales with per-node disk bandwidth
-  and sidesteps the single plasma-store bottleneck; the staged files also
-  make a crashed exchange trivially restartable.
-- ``"sort"``: ``groupby(_part).map_groups`` — the in-object-store sort
-  shuffle. Fewer moving parts; on a single node it serializes through one
-  plasma store and anti-scales beyond ~8 cores at GB-scale inputs
-  (measured: 6M events, 32 cpus: sort 32-39s vs staged 7-10s).
+The exchange is staged: the combiner output is written as per-partition
+Parquet to an ephemeral staging dir, then P merge tasks each read exactly
+their partition's staged files — a disk-mediated hash shuffle
+(Spark-style shuffle files on the shared store). It scales with per-node
+disk bandwidth, sidesteps the single plasma-store bottleneck, and makes a
+crashed exchange trivially restartable. Two inputs feed it: a changelog
+FILE list (one fused read+normalize+partition+write task per file, see
+:func:`make_file_stager`) or a change-event Dataset
+(``write_parquet(partition_cols=[_part])``).
 
 Scale properties:
 - the combiner collapses duplicate/hot-key events per batch BEFORE the
@@ -43,6 +41,7 @@ with at-least-once tailing + idempotent sink = exactly-once observable.
 
 from __future__ import annotations
 
+import json
 import os
 import time as _time_mod
 import uuid
@@ -72,6 +71,7 @@ from ..core.reconcile import (
 )
 from ..state import manifest as mf
 from ..state.fs import StorageAdapter, default_fs
+from .telemetry import merge_sketch_json, sketch_stats_json
 
 PART_COLUMN = "_part"
 COUNTER_KEYS = ("events_in", "upserts", "deletes", "tombstones", "rows_out", "watermark_lsn")
@@ -85,15 +85,16 @@ def _partition_path(epoch: int, part: int) -> str:
     return os.path.join(f"part={part:05d}", f"data-e{epoch:06d}.parquet")
 
 
-def _key_range(merged: pa.Table) -> tuple[str, str]:
-    """Zone-map entry for a freshly written partition file. The merge
-    writes rows key-sorted, so min/max are the first/last doc_id. Only
-    string keys get a zone map: the stored bounds compare
-    lexicographically, which matches sort order for strings only."""
-    if merged.num_rows == 0 or not pa.types.is_string(merged.schema.field("doc_id").type):
+def _key_range(state: pa.Table) -> tuple[str, str]:
+    """Key zone map of a resolved partition: true min/max, independent of
+    row order (a clustered rewrite is not key-sorted). "" means "no map"
+    (read routing never prunes on it). Only string keys get a zone map:
+    the stored bounds compare lexicographically, which matches sort order
+    for strings only — stringified numbers would wrongly skip partitions."""
+    if state.num_rows == 0 or not pa.types.is_string(state.schema.field("doc_id").type):
         return "", ""
-    col = merged["doc_id"]
-    return str(col[0].as_py()), str(col[merged.num_rows - 1].as_py())
+    mm = pc.min_max(state["doc_id"]).as_py()
+    return str(mm["min"]), str(mm["max"])
 
 
 # columns that never get payload zone maps: engine bookkeeping + the key
@@ -134,8 +135,6 @@ def _col_stats_json(t: pa.Table) -> str:
         if isinstance(mn, float) and (math.isnan(mn) or math.isnan(mx)):
             continue
         out[field.name] = [mn, mx]
-    import json
-
     return json.dumps(out)
 
 
@@ -245,6 +244,100 @@ def _write_bloom_sidecar(merged: pa.Table, base_abs: str, fs: StorageAdapter) ->
     fs.atomic_write_bytes(base_abs + BLOOM_SUFFIX, bloom.to_bytes())
 
 
+def _stats_fields(rows: pa.Table) -> dict:
+    """Payload zone maps + KLL sketches of ``rows``, JSON-encoded so they
+    ride the one-row entry table back through the exchange."""
+    return {"col_stats": _col_stats_json(rows), "col_sketch": sketch_stats_json(rows)}
+
+
+def _state_fields(state: pa.Table) -> dict:
+    """Row count, key zone map and logical identity (``content_sig``:
+    resolved, layout-independent) of a partition's resolved state."""
+    kmin, kmax = _key_range(state)
+    return {"rows": state.num_rows, "key_min": kmin, "key_max": kmax,
+            "content_sig": state_content_sig(state)}
+
+
+def partition_entry(
+    merged: pa.Table, table_dir: str, rel: str, fs: StorageAdapter,
+    row_group_size: int | None = None,
+) -> dict:
+    """Worker side of every base-file write (copy-on-write merge, compact,
+    cluster, repair): publish ``merged`` — one partition's resolved rows —
+    as ``rel`` plus its Bloom sidecar, and return the entry row the
+    driver folds with :func:`fold_entry`. Everything derived from the
+    rows is computed here, from the rows just written, so the stats are
+    exact."""
+    out_abs = os.path.join(table_dir, rel)
+    fs.makedirs(os.path.dirname(out_abs))
+    fs.write_parquet_atomic(merged, out_abs, row_group_size=row_group_size)
+    _write_bloom_sidecar(merged, out_abs, fs)
+    return {"file": rel, "delta": "", **_state_fields(merged), **_stats_fields(merged)}
+
+
+# one merge task's output row: the partition's entry plus its lineage
+# counters — the only data the driver collects from an epoch
+_ENTRY_ROW_SCHEMA = pa.schema(
+    [("part", pa.int64()), ("file", pa.string()), ("delta", pa.string()),
+     ("rows", pa.int64()), ("key_min", pa.string()), ("key_max", pa.string()),
+     ("content_sig", pa.string()), ("col_stats", pa.string()),
+     ("col_sketch", pa.string()), ("cell_writes", pa.string())]
+    + [(k, pa.int64()) for k in COUNTER_KEYS])
+
+
+def fold_entry(prev: dict | None, entry: dict) -> dict:
+    """Driver side: fold one worker entry row into a partition's manifest
+    entry. ``prev`` is the committed entry (None or {} for a partition
+    the table has never held). What ``entry`` carries picks the rule:
+
+    - ``delta`` (merge-on-read): the base stays put and the delta is
+      appended. rows, key range and ``content_sig`` describe the resolved
+      state (the worker merged against a skinny state index); the
+      watermark is the max of both. Stats and sketch cover the delta body
+      only, so on an existing entry the zone maps widen
+      (:func:`_widen_col_stats`; bounds stay absent if ``prev`` had none)
+      and the sketch folds (``merge_sketch_json``), marked
+      ``col_sketch_mor`` until the next physical rewrite. A first-ever
+      delta IS the whole state, so it is exact.
+    - ``file`` with ``watermark_lsn`` (copy-on-write epoch commit): the
+      new base resolves and supersedes any deltas; stats and sketch are
+      exact.
+    - ``file`` without ``watermark_lsn`` (same-epoch revision: compact,
+      cluster, repair): as above, keeping ``prev``'s watermark.
+    - neither (restamp): only stats and sketch are replaced, exact."""
+    prev = prev or {}
+    stats = json.loads(entry["col_stats"]) if entry["col_stats"] else {}
+    sketch = json.loads(entry["col_sketch"]) if entry["col_sketch"] else {}
+    if not (entry.get("file") or entry.get("delta")):
+        out = {**prev, "col_stats": stats, "col_sketch": sketch}
+        out.pop("col_sketch_mor", None)
+        return out
+    if entry.get("delta"):
+        out = {"file": prev.get("file"),
+               "rows": int(entry["rows"]),
+               "watermark_lsn": max(int(prev.get("watermark_lsn", 0)),
+                                    int(entry["watermark_lsn"])),
+               "deltas": [*prev.get("deltas", ()), entry["delta"]]}
+    else:
+        out = {"file": entry["file"],
+               "rows": int(entry["rows"]),
+               "watermark_lsn": int(entry.get("watermark_lsn",
+                                              prev.get("watermark_lsn", 0)))}
+    out |= {"key_min": entry["key_min"], "key_max": entry["key_max"],
+            "content_sig": entry["content_sig"]}
+    if not (entry.get("delta") and prev):
+        out |= {"col_stats": stats, "col_sketch": sketch}
+        return out
+    if prev.get("col_stats") is not None:
+        out["col_stats"] = _widen_col_stats(prev["col_stats"], stats)
+    if prev.get("col_sketch") is not None:
+        # approximate until the next physical rewrite (over-weights
+        # overwritten rows, like the widened bounds)
+        out["col_sketch"] = merge_sketch_json(prev["col_sketch"], sketch)
+        out["col_sketch_mor"] = True
+    return out
+
+
 def _merge_one_partition(
     part: int,
     events: pa.Table,
@@ -256,11 +349,12 @@ def _merge_one_partition(
     fs: StorageAdapter,
     update_mode: str = "replace",
 ) -> dict:
-    """Apply one partition's combined events under the given merge policy.
+    """Apply one partition's combined events under the given merge policy;
+    returns its entry row (see ``_ENTRY_ROW_SCHEMA``).
 
     ``rewrite`` (copy-on-write): read full state (resolving any pending
     deltas — so a rewrite epoch doubles as compaction), LWW-merge, write
-    the new base file.
+    the new base file through :func:`partition_entry`.
 
     ``delta`` (merge-on-read): write ONLY the epoch's combined events as
     ``delta-eEEEEEE.parquet`` — tombstones included, real (lsn, seq)
@@ -278,20 +372,8 @@ def _merge_one_partition(
             merged, counters = merge_partition_coalesce(state, events)
         else:
             merged, counters = merge_partition(state, events)
-        out_rel = _partition_path(epoch, part)
-        out_abs = os.path.join(table_dir, out_rel)
-        fs.makedirs(os.path.dirname(out_abs))
-        fs.write_parquet_atomic(merged, out_abs)
-        _write_bloom_sidecar(merged, out_abs, fs)
-        kmin, kmax = _key_range(merged)
-        from .telemetry import sketch_stats_json
-
-        return {"part": part, "file": out_rel, "delta": "",
-                "key_min": kmin, "key_max": kmax,
-                "col_stats": _col_stats_json(merged),
-                "col_sketch": sketch_stats_json(merged),
-                "content_sig": state_content_sig(merged),
-                "cell_writes": counters.pop("cell_writes", ""),
+        entry = partition_entry(merged, table_dir, _partition_path(epoch, part), fs)
+        return {"part": part, **entry, "cell_writes": counters.pop("cell_writes", ""),
                 **{k: int(counters[k]) for k in COUNTER_KEYS}}
     if policy != "delta":
         raise ValueError(f"unknown merge policy: {policy!r}")
@@ -312,20 +394,12 @@ def _merge_one_partition(
     out_abs = os.path.join(table_dir, out_rel)
     fs.makedirs(os.path.dirname(out_abs))
     fs.write_parquet_atomic(body, out_abs)
-    kmin, kmax = _key_range(merged_idx)  # zone map covers the FULL alive state
-    from .telemetry import sketch_stats_json
-
+    # state fields from the skinny index (the FULL alive state, so a later
+    # compaction of this stack keeps the same sig); stats and sketch from
+    # the delta body only — fold_entry widens them into the previous ones
     return {"part": part, "file": "", "delta": out_rel,
-            # delta-body stats only; the driver widens them into the
-            # previous bounds so the manifest covers the resolved state
-            "col_stats": _col_stats_json(body),
-            "col_sketch": sketch_stats_json(body),
-            # identity of the RESOLVED state (from the skinny index), so
-            # a later compaction of this stack keeps the same sig
-            "content_sig": state_content_sig(merged_idx),
-            "cell_writes": "",
-            "key_min": kmin, "key_max": kmax,
-            **{k: int(counters[k]) for k in COUNTER_KEYS}}
+            **_state_fields(merged_idx), **_stats_fields(body),
+            "cell_writes": "", **{k: int(counters[k]) for k in COUNTER_KEYS}}
 
 
 def _combine(batch: pa.Table, update_mode: str) -> pa.Table:
@@ -355,39 +429,6 @@ def make_normalizer(unified_b64: str, num_partitions: int,
     return normalize
 
 
-def make_merge_writer(
-    table_dir: str,
-    epoch: int,
-    unified_b64: str,
-    state_files: dict[int, list[str]],
-    policy: str = "rewrite",
-    fs: StorageAdapter | None = None,
-    update_mode: str = "replace",
-):
-    """map_groups fn for one hash partition: merge events against the
-    partition's current state (base + any pending deltas) and write the
-    new deterministic file under the given merge policy (see
-    :func:`_merge_one_partition`). Returns a one-row counters table (the
-    only data the driver sees). All I/O routes through the StorageAdapter
-    (picklable; carried into the task closure) so the merge runs against
-    any pyarrow filesystem; publication is atomic-rename on POSIX,
-    atomic-PUT on object stores — concurrent/stale attempts write
-    byte-identical content either way."""
-    fs = default_fs(fs)
-
-    def merge_write(group: pa.Table) -> pa.Table:
-        schema = mf.schema_from_b64(unified_b64)
-        part = int(group[PART_COLUMN][0].as_py())
-        events = group.drop_columns([PART_COLUMN])
-        row = _merge_one_partition(
-            part, events, state_files.get(part, []), table_dir, epoch,
-            schema, policy, fs, update_mode,
-        )
-        return pa.table({k: [v] for k, v in row.items()})
-
-    return merge_write
-
-
 def make_staged_merger(
     table_dir: str,
     staging_dir: str,
@@ -402,7 +443,11 @@ def make_staged_merger(
     partition; the task reads that partition's staged files (already
     conformed + weight-carrying) plus its current state (base + pending
     deltas), merges under the given policy, and writes the deterministic
-    output file. I/O via StorageAdapter (see :func:`make_merge_writer`)."""
+    output file; returns one entry row per merged partition. All I/O
+    routes through the StorageAdapter (picklable; carried into the task
+    closure) so the merge runs against any pyarrow filesystem;
+    publication is atomic-rename on POSIX, atomic-PUT on object stores —
+    concurrent/stale attempts write byte-identical content either way."""
     fs = default_fs(fs)
 
     def merge_staged(batch: pa.Table) -> pa.Table:
@@ -422,17 +467,7 @@ def make_staged_merger(
                 part, events, state_files.get(part, []), table_dir, epoch,
                 schema, policy, fs, update_mode,
             ))
-        if not out_rows:
-            return pa.table(
-                {"part": pa.array([], pa.int64()), "file": pa.array([], pa.string()),
-                 "delta": pa.array([], pa.string()),
-                 "col_stats": pa.array([], pa.string()),
-                 "col_sketch": pa.array([], pa.string()),
-                 "cell_writes": pa.array([], pa.string()),
-                 "key_min": pa.array([], pa.string()), "key_max": pa.array([], pa.string())}
-                | {k: pa.array([], pa.int64()) for k in COUNTER_KEYS}
-            )
-        return pa.table({k: [r[k] for r in out_rows] for k in out_rows[0]})
+        return pa.Table.from_pylist(out_rows, schema=_ENTRY_ROW_SCHEMA)
 
     return merge_staged
 
@@ -498,13 +533,12 @@ def apply_epoch(
     table_dir: str,
     epoch: int,
     num_partitions: int = 32,
-    exchange: str = "staged",
     merge_policy: str = "rewrite",
     fs: StorageAdapter | None = None,
     renames: dict[str, str] | None = None,
 ) -> mf.TableManifest | None:
     """Apply one ready epoch to the table (see :func:`apply_epochs`)."""
-    return apply_epochs(changelog_dir, table_dir, [epoch], num_partitions, exchange,
+    return apply_epochs(changelog_dir, table_dir, [epoch], num_partitions,
                         merge_policy=merge_policy, fs=fs, renames=renames)
 
 
@@ -513,7 +547,6 @@ def apply_epochs(
     table_dir: str,
     epochs: list[int],
     num_partitions: int = 32,
-    exchange: str = "staged",
     merge_policy: str = "rewrite",
     fs: StorageAdapter | None = None,
     renames: dict[str, str] | None = None,
@@ -551,17 +584,14 @@ def apply_epochs(
     incoming = unify_all(
         [rename_schema(fs.read_parquet_schema(f), renames) for f in files]
     )
-    # the staged exchange takes the raw FILE LIST: each stage task fuses
-    # read+normalize+partition+write (no plasma round-trips); the sort
-    # exchange needs a Dataset
-    events = files if exchange == "staged" else ray.data.read_parquet(files, filesystem=fs.fs)
+    # the raw FILE LIST: each stage task fuses read+normalize+partition+
+    # write (no plasma round-trips)
     return apply_events_dataset(
-        events,
+        files,
         table_dir,
         epoch,
         incoming,
         num_partitions=num_partitions,
-        exchange=exchange,
         merge_policy=merge_policy,
         fs=fs,
         renames=renames,
@@ -575,7 +605,6 @@ def apply_events_dataset(
     epoch: int,
     incoming_schema: pa.Schema,
     num_partitions: int = 32,
-    exchange: str = "staged",
     carry_forward: bool = True,
     merge_policy: str = "rewrite",
     fs: StorageAdapter | None = None,
@@ -593,8 +622,8 @@ def apply_events_dataset(
     the new directory); on an existing table the committed manifest's
     list always wins.
 
-    ``events_ds`` is a change-event Dataset, or — staged exchange only —
-    a list of parquet FILE PATHS, in which case staging fuses
+    ``events_ds`` is a change-event Dataset, or a list of parquet FILE
+    PATHS, in which case staging fuses
     read+normalize+partition+write into one task per file (zero plasma
     hops for the payload; see :func:`make_file_stager`).
 
@@ -647,156 +676,76 @@ def apply_events_dataset(
         else incoming_schema
     )
     unified_b64 = mf.schema_to_b64(unified)
-    state_files: dict[int, list[str]] = {}
-    if current is not None:
-        for k, v in current.partitions.items():
-            rels = ([v["file"]] if v.get("file") else []) + list(v.get("deltas", ()))
-            state_files[int(k)] = rels
+    state_files = ({int(k): mf.entry_rels(v) for k, v in current.partitions.items()}
+                   if current is not None else {})
 
     # retry_exceptions: normalize/merge are pure + the sink is idempotent
     # (deterministic file names), so retrying a task that died on a
     # transient error (flaky storage read, OOM-killed worker) is safe
     _retry = {"retry_exceptions": True, "max_retries": 4}
-    from_files = isinstance(events_ds, (list, tuple))
-    if from_files and exchange != "staged":
-        events_ds = ray.data.read_parquet(list(events_ds), filesystem=fs.fs)
-        from_files = False
-    if not from_files:
-        ds = events_ds.map_batches(
-            make_normalizer(unified_b64, num_partitions, renames=renames,
-                            update_mode=update_mode),
-            batch_format="pyarrow",
-            **_retry,
-        )
-    if exchange == "staged":
-        # attempt-unique staging dir: two live drivers racing the same
-        # epoch must not stage into (or wipe) each other's files — each
-        # attempt merges from its own staging; crashed-attempt debris is
-        # swept by vacuum once the epoch is committed
-        # uuid attempt token, not pid: pids are not unique across the
-        # nodes of a shared store and reuse could make the rmtree below
-        # delete a DIFFERENT live attempt's staging
-        staging = os.path.join(
-            table_dir, "_staging", f"epoch-{epoch:06d}-{uuid.uuid4().hex}"
-        )
-        fs.rmtree(staging)  # (fresh name — a no-op guard)
-        _t_stage = _time_mod.perf_counter()
-        if from_files:
-            stage_rows = (
-                ray.data.from_items([{"path": p} for p in events_ds])
-                .map_batches(
-                    make_file_stager(staging, unified_b64, num_partitions, fs=fs,
-                                     renames=renames, update_mode=update_mode),
-                    batch_size=1,
-                    batch_format="pyarrow",
-                    **_retry,
-                )
-                .take_all()
-            )  # O(files × touched-parts) tiny manifest rows
-            touched = sorted({int(r["part"]) for r in stage_rows})
-        else:
-            ds.write_parquet(staging, partition_cols=[PART_COLUMN], filesystem=fs.fs)
-            touched = sorted(
-                int(d.split("=", 1)[1])
-                for d in fs.listdir(staging)
-                if d.startswith(PART_COLUMN + "=")
-            )
-        _t_merge = _time_mod.perf_counter()
-        if touched:
-            counters_ds = ray.data.from_items(
-                [{"part": p} for p in touched]
-            ).map_batches(
-                make_staged_merger(table_dir, staging, epoch, unified_b64, state_files,
-                                   policy=merge_policy, fs=fs,
-                                   update_mode=update_mode),
+    # attempt-unique staging dir: two live drivers racing the same epoch
+    # must not stage into (or wipe) each other's files — each attempt
+    # merges from its own staging; crashed-attempt debris is swept by
+    # vacuum once the epoch is committed
+    # uuid attempt token, not pid: pids are not unique across the nodes of
+    # a shared store and reuse could make the rmtree below delete a
+    # DIFFERENT live attempt's staging
+    staging = os.path.join(
+        table_dir, "_staging", f"epoch-{epoch:06d}-{uuid.uuid4().hex}"
+    )
+    fs.rmtree(staging)  # (fresh name — a no-op guard)
+    _t_stage = _time_mod.perf_counter()
+    if isinstance(events_ds, (list, tuple)):
+        stage_rows = (
+            ray.data.from_items([{"path": p} for p in events_ds])
+            .map_batches(
+                make_file_stager(staging, unified_b64, num_partitions, fs=fs,
+                                 renames=renames, update_mode=update_mode),
                 batch_size=1,
                 batch_format="pyarrow",
                 **_retry,
             )
-            counter_rows = counters_ds.take_all()  # O(num_partitions) rows — tiny
-        else:
-            counter_rows = []  # empty epoch: nothing merged, manifest still advances
-        fs.rmtree(staging)
-        _t_done = _time_mod.perf_counter()
-        phase_wall = {"stage": round(_t_merge - _t_stage, 3),
-                      "merge": round(_t_done - _t_merge, 3)}
-    elif exchange == "sort":
-        _t_stage = _time_mod.perf_counter()
-        counters_ds = ds.groupby(PART_COLUMN).map_groups(
-            make_merge_writer(table_dir, epoch, unified_b64, state_files,
-                              policy=merge_policy, fs=fs,
-                              update_mode=update_mode),
-            batch_format="pyarrow",
-        )
-        counter_rows = counters_ds.take_all()  # O(num_partitions) rows — tiny
-        # one fused pipeline: the sort exchange can't split stage vs merge
-        phase_wall = {"pipeline": round(_time_mod.perf_counter() - _t_stage, 3)}
+            .take_all()
+        )  # O(files × touched-parts) tiny manifest rows
+        touched = sorted({int(r["part"]) for r in stage_rows})
     else:
-        raise ValueError(f"unknown exchange strategy: {exchange!r}")
+        events_ds.map_batches(
+            make_normalizer(unified_b64, num_partitions, renames=renames,
+                            update_mode=update_mode),
+            batch_format="pyarrow",
+            **_retry,
+        ).write_parquet(staging, partition_cols=[PART_COLUMN], filesystem=fs.fs)
+        touched = sorted(
+            int(d.split("=", 1)[1])
+            for d in fs.listdir(staging)
+            if d.startswith(PART_COLUMN + "=")
+        )
+    _t_merge = _time_mod.perf_counter()
+    if touched:
+        counter_rows = ray.data.from_items(
+            [{"part": p} for p in touched]
+        ).map_batches(
+            make_staged_merger(table_dir, staging, epoch, unified_b64, state_files,
+                               policy=merge_policy, fs=fs,
+                               update_mode=update_mode),
+            batch_size=1,
+            batch_format="pyarrow",
+            **_retry,
+        ).take_all()  # O(num_partitions) rows — tiny
+    else:
+        counter_rows = []  # empty epoch: nothing merged, manifest still advances
+    fs.rmtree(staging)
+    _t_done = _time_mod.perf_counter()
 
     # build the new manifest: carry forward untouched partitions
     partitions = dict(current.partitions) if (current and carry_forward) else {}
     epoch_counters: dict[str, Any] = {"per_partition": {}, **{k: 0 for k in COUNTER_KEYS}}
     for r in counter_rows:
         p = str(r["part"])
-        prev = partitions.get(p, {})
-        if r.get("delta"):
-            # merge-on-read: base stays put, the epoch's delta is appended;
-            # rows/watermark/zone-map reflect the RESOLVED state (counters
-            # were computed against the skinny state index, so exact)
-            partitions[p] = {
-                "file": prev.get("file"),
-                "rows": int(r["rows_out"]),
-                "watermark_lsn": max(int(prev.get("watermark_lsn", 0)),
-                                     int(r["watermark_lsn"])),
-                "deltas": list(prev.get("deltas", ())) + [r["delta"]],
-            }
-        else:
-            # copy-on-write: new base resolves and supersedes any deltas
-            partitions[p] = {
-                "file": r["file"],
-                "rows": int(r["rows_out"]),
-                "watermark_lsn": int(r["watermark_lsn"]),
-            }
-        if r.get("key_min") is not None:
-            partitions[p]["key_min"] = r["key_min"]
-            partitions[p]["key_max"] = r["key_max"]
-        if r.get("content_sig"):
-            # logical-state identity (resolved, layout-independent) —
-            # consumers like the training view key change detection on it
-            partitions[p]["content_sig"] = r["content_sig"]
-        if r.get("col_stats") is not None:
-            import json as _json
-
-            new_stats = _json.loads(r["col_stats"]) if r["col_stats"] else {}
-            if not r.get("delta") or not prev:
-                # rewrite (or first-ever commit of this partition as a
-                # delta, where the delta IS the whole state): exact stats
-                partitions[p]["col_stats"] = new_stats
-            elif prev.get("col_stats") is not None:
-                partitions[p]["col_stats"] = _widen_col_stats(
-                    prev["col_stats"], new_stats)
-            # else: prev predates payload stats → bounds unknown, stay absent
-        if r.get("col_sketch") is not None:
-            import json as _json3
-
-            from .telemetry import merge_sketch_json
-
-            new_sk = _json3.loads(r["col_sketch"]) if r["col_sketch"] else {}
-            if not r.get("delta") or not prev:
-                partitions[p]["col_sketch"] = new_sk
-                partitions[p].pop("col_sketch_mor", None)
-            elif prev.get("col_sketch") is not None:
-                # MOR fold: approximate until the next physical rewrite
-                # (over-weights overwritten rows, like the widened bounds)
-                partitions[p]["col_sketch"] = merge_sketch_json(
-                    prev["col_sketch"], new_sk)
-                partitions[p]["col_sketch_mor"] = True
-        if r.get("cell_writes"):
-            import json as _json2
-
-            for c, v in _json2.loads(r["cell_writes"]).items():
-                cw = epoch_counters.setdefault("cell_writes", {})
+        partitions[p] = fold_entry(partitions.get(p), r)
+        if r["cell_writes"]:
+            cw = epoch_counters.setdefault("cell_writes", {})
+            for c, v in json.loads(r["cell_writes"]).items():
                 cw[c] = cw.get(c, 0) + int(v)
         epoch_counters["per_partition"][p] = {k: int(r[k]) for k in COUNTER_KEYS}
         for k in COUNTER_KEYS:
@@ -807,7 +756,8 @@ def apply_events_dataset(
     )
     # per-phase wall clocks (driver-observed): surfaced via `history`/`jobs`
     # so a slow replay localizes to exchange vs merge without re-running
-    epoch_counters["phase_wall"] = phase_wall
+    epoch_counters["phase_wall"] = {"stage": round(_t_merge - _t_stage, 3),
+                                    "merge": round(_t_done - _t_merge, 3)}
     epoch_counters["update_mode"] = update_mode
     # wall-clock commit stamp: drives time-based retention (vacuum
     # --keep-seconds). Same-epoch revisions inherit it (the epoch's
@@ -843,7 +793,6 @@ def bootstrap_table(
     table_dir: str,
     num_partitions: int = 32,
     key: str = "doc_id",
-    exchange: str = "staged",
     merge_policy: str = "rewrite",
     fs: StorageAdapter | None = None,
     update_mode: str = "replace",
@@ -915,8 +864,7 @@ def bootstrap_table(
     schema = pa.schema(ev_fields + payload)
     m = apply_events_dataset(
         events, table_dir, 0, schema, num_partitions=num_partitions,
-        exchange=exchange, merge_policy=merge_policy, fs=fs,
-        update_mode=update_mode)
+        merge_policy=merge_policy, fs=fs, update_mode=update_mode)
     if m is None:
         raise RuntimeError(f"bootstrap commit fenced out at {table_dir}")
     _sync_subscribers(table_dir, fs)
@@ -954,7 +902,6 @@ def replay(
     num_partitions: int = 32,
     up_to_epoch: int | None = None,
     epochs_per_commit: int | None = None,
-    exchange: str = "staged",
     merge_policy: str = "rewrite",
     fs: StorageAdapter | None = None,
     renames: dict[str, str] | None = None,
@@ -984,8 +931,8 @@ def replay(
             batch = pending[i : i + max(1, step)]
             m = apply_epochs(
                 changelog_dir, table_dir, batch, num_partitions=num_partitions,
-                exchange=exchange, merge_policy=merge_policy, fs=fs,
-                renames=renames, update_mode=update_mode,
+                merge_policy=merge_policy, fs=fs, renames=renames,
+                update_mode=update_mode,
             )
             if m is not None:
                 last = m
@@ -1002,7 +949,6 @@ def replay_union(
     changelog_dirs: list[str],
     table_dir: str,
     num_partitions: int = 32,
-    exchange: str = "staged",
     merge_policy: str = "rewrite",
     fs: StorageAdapter | None = None,
     renames: dict[str, str] | list[dict[str, str] | None] | None = None,
@@ -1090,8 +1036,8 @@ def replay_union(
         events = events.union(p)
     m = apply_events_dataset(
         events, table_dir, max(appliable), unify_all(schemas),
-        num_partitions=num_partitions, exchange=exchange,
-        merge_policy=merge_policy, fs=fs, update_mode=update_mode,
+        num_partitions=num_partitions, merge_policy=merge_policy, fs=fs,
+        update_mode=update_mode,
     )
     _sync_subscribers(table_dir, fs)
     return m
@@ -1104,7 +1050,6 @@ def tail(
     poll_interval: float = 1.0,
     idle_polls: int = 3,
     max_epochs: int | None = None,
-    exchange: str = "staged",
     merge_policy: str = "rewrite",
     auto_compact: int | None = None,
     fs: StorageAdapter | None = None,
@@ -1142,9 +1087,8 @@ def tail(
         idle = 0
         m = apply_epochs(
             changelog_dir, table_dir, pending,
-            num_partitions=num_partitions, exchange=exchange,
-            merge_policy=merge_policy, fs=fs, renames=renames,
-            update_mode=update_mode,
+            num_partitions=num_partitions, merge_policy=merge_policy,
+            fs=fs, renames=renames, update_mode=update_mode,
         )
         if m is not None:
             last = m
@@ -1167,7 +1111,6 @@ def apply_revocation_sweep(
     alive_pairs,
     epoch: int,
     num_partitions: int = 32,
-    exchange: str = "staged",
 ) -> mf.TableManifest | None:
     """Absence-as-event sweep (J3, ``gc_crawler_status_tracker.py:55-82``):
     rows of a source COVERED by the crawl manifest whose key is absent from
@@ -1196,8 +1139,7 @@ def apply_revocation_sweep(
         ]
     )
     return apply_events_dataset(
-        tombstones, table_dir, epoch, schema,
-        num_partitions=num_partitions, exchange=exchange,
+        tombstones, table_dir, epoch, schema, num_partitions=num_partitions,
     )
 
 
@@ -1225,7 +1167,7 @@ def _manifest_dataset(
     mor: list[dict] = []
     for p in sorted(man.partitions, key=int):
         e = man.partitions[p]
-        rels = ([e["file"]] if e.get("file") else []) + list(e.get("deltas", ()))
+        rels = mf.entry_rels(e)
         if not rels:
             continue
         if bounds and not _stats_overlap(e.get("col_stats"), bounds):

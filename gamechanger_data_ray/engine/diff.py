@@ -118,10 +118,7 @@ def diff_table_epochs(
 
     def rels(man: mf.TableManifest, p: str) -> list[str]:
         e = man.partitions.get(p)
-        if e is None:
-            return []
-        out = [e["file"]] if e.get("file") else []
-        return out + list(e.get("deltas", ()))
+        return [] if e is None else mf.entry_rels(e)
 
     work = []
     for p in sorted(set(man_old.partitions) | set(man_new.partitions), key=int):
@@ -165,7 +162,6 @@ def relay(
     num_partitions: int | None = None,
     step: str = "batch",
     merge_policy: str = "rewrite",
-    exchange: str = "staged",
     fs: StorageAdapter | None = None,
 ) -> dict:
     """Chained CDC: bring ``dst_table`` up to date with ``src_table`` by
@@ -245,7 +241,6 @@ def relay(
             epoch=e,
             incoming_schema=incoming,
             num_partitions=num_partitions,
-            exchange=exchange,
             merge_policy=merge_policy,
             fs=fs,
         )

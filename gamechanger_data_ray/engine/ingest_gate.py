@@ -881,7 +881,6 @@ def apply_with_neardup_gate(
     key_column: str = "doc_id",
     max_candidates: int = 500,
     merge_policy: str = "rewrite",
-    exchange: str = "staged",
     mode: str | list[str] = "neardup",
     min_tok: int = 5,
     max_tok: int | None = None,
@@ -948,8 +947,7 @@ def apply_with_neardup_gate(
 
     m = apply_events_dataset(
         kept, table_dir, epoch, incoming_schema,
-        num_partitions=num_partitions, merge_policy=merge_policy,
-        exchange=exchange, fs=fs,
+        num_partitions=num_partitions, merge_policy=merge_policy, fs=fs,
     )
     for gate_mode in modes:
         view = _gate_view_def(gate_mode, k=k, seed=seed,

@@ -52,8 +52,7 @@ def _side_sig(entry: dict[str, Any]) -> str:
     """Content signature of one side's partition state: the ordered file
     set (epoch/rev-stamped names — a rewrite, delta commit or compaction
     always changes it; an untouched partition never does)."""
-    return "|".join(([entry["file"]] if entry.get("file") else [])
-                    + list(entry.get("deltas", ())))
+    return "|".join(mf.entry_rels(entry))
 
 
 def _join_sig(on: str, how: str, suffixes: tuple[str, str],
@@ -211,10 +210,8 @@ def refresh_join(
             continue
         work.append({
             "part": int(k),
-            "left_rels": ([le["file"]] if le.get("file") else [])
-            + list(le.get("deltas", ())),
-            "right_rels": ([re_["file"]] if re_.get("file") else [])
-            + list(re_.get("deltas", ())),
+            "left_rels": mf.entry_rels(le),
+            "right_rels": mf.entry_rels(re_),
             "src_sig": src_sig,
         })
 

@@ -100,10 +100,11 @@ def _rewrite_partitions(
     source_dir: str | None = None,
 ) -> mf.TableManifest | None:
     """Shared skeleton for physical rewrites of IDENTICAL logical state
-    (compact, cluster): per-partition resolve (base + merge-on-read
-    deltas) → optional ``transform`` → atomic write → bloom sidecar →
-    exact zone maps → same-epoch ``rev+1`` manifest under the commit
-    fence. One Ray task per partition; O(P) driver rows.
+    (compact, cluster, repair): per-partition resolve (base + merge-on-read
+    deltas) → optional ``transform`` → ``cdc.partition_entry`` (atomic
+    write, bloom sidecar, exact zone maps) → ``cdc.fold_entry`` into a
+    same-epoch ``rev+1`` manifest under the commit fence. One Ray task per
+    partition; O(P) driver rows.
 
     ``file_tag`` discriminates the output filename per operation
     (``data-e{epoch}r{rev}{tag}.parquet``): retries of the SAME
@@ -116,13 +117,11 @@ def _rewrite_partitions(
     directory (anti-entropy repair pulls healthy partitions from a
     replica) while the rewrite still commits into ``table_dir``."""
     import pyarrow as pa
-    import pyarrow.compute as pc
     import ray.data
 
     from ..core.merge import collapse_deltas
     from ..core.reconcile import conform
-    from .cdc import _col_stats_json, _write_bloom_sidecar
-    from .telemetry import sketch_stats_json as _sketch_json
+    from .cdc import fold_entry, partition_entry
 
     b64 = current.schema_b64
     new_rev = current.rev + 1
@@ -143,28 +142,9 @@ def _rewrite_partitions(
                 f"part={int(row['part']):05d}",
                 f"data-e{epoch:06d}r{new_rev:03d}{file_tag}.parquet",
             )
-            fs.write_parquet_atomic(merged, os.path.join(table_dir, out_rel),
-                                    row_group_size=row_group_rows)
-            _write_bloom_sidecar(merged, os.path.join(table_dir, out_rel), fs)
-            # key zone map: true min/max, order-independent. "" means "no
-            # map" (read routing never prunes on it) — non-string keys are
-            # NOT stringified, since lexicographic bounds over stringified
-            # numbers would wrongly skip partitions.
-            kmin = kmax = ""
-            if merged.num_rows and pa.types.is_string(schema.field("doc_id").type):
-                mm = pc.min_max(merged["doc_id"]).as_py()
-                kmin, kmax = str(mm["min"]), str(mm["max"])
-            from ..core.hashing import state_content_sig
-
-            rows.append({"part": int(row["part"]), "file": out_rel,
-                         "rows": merged.num_rows, "key_min": kmin,
-                         "key_max": kmax,
-                         # exact again: rewrites re-tighten the wide union
-                         # bounds accumulated by delta commits
-                         "col_stats": _col_stats_json(merged),
-                         "col_sketch": _sketch_json(merged),
-                         "content_sig": state_content_sig(merged)})
-        return pa.table({k: [r[k] for r in rows] for k in rows[0]})
+            rows.append({"part": int(row["part"]), **partition_entry(
+                merged, table_dir, out_rel, fs, row_group_size=row_group_rows)})
+        return pa.Table.from_pylist(rows)
 
     results = ray.data.from_items(work).map_batches(
         rewrite_one, batch_size=1, batch_format="pyarrow",
@@ -174,19 +154,7 @@ def _rewrite_partitions(
     partitions = dict(current.partitions)
     for r in results:
         p = str(r["part"])
-        partitions[p] = {
-            "file": r["file"],
-            "rows": int(r["rows"]),
-            "watermark_lsn": int(partitions[p].get("watermark_lsn", 0)),
-            "key_min": r["key_min"],
-            "key_max": r["key_max"],
-            "col_stats": json.loads(r["col_stats"]) if r.get("col_stats") else {},
-        }
-        if r.get("col_sketch"):
-            # exact again post-rewrite: drop any MOR-approx marker
-            partitions[p]["col_sketch"] = json.loads(r["col_sketch"])
-        if r.get("content_sig"):
-            partitions[p]["content_sig"] = r["content_sig"]
+        partitions[p] = fold_entry(partitions[p], r)
     manifest = mf.TableManifest(
         epoch=epoch,
         schema_b64=b64,
@@ -222,11 +190,7 @@ def compact(table_dir: str, min_deltas: int = 1, fs=None) -> mf.TableManifest | 
     }
     if not todo:
         return None
-    work = [
-        {"part": int(p),
-         "files": ([e["file"]] if e.get("file") else []) + list(e["deltas"])}
-        for p, e in todo.items()
-    ]
+    work = [{"part": int(p), "files": mf.entry_rels(e)} for p, e in todo.items()]
     return _rewrite_partitions(table_dir, current, work, fs)
 
 
@@ -361,12 +325,8 @@ def cluster_table(
         def order(merged: pa.Table) -> pa.Table:
             return merged.take(pc.sort_indices(merged, sort_keys=sort_keys))
 
-    work = [
-        {"part": int(p),
-         "files": ([e["file"]] if e.get("file") else []) + list(e.get("deltas", ()))}
-        for p, e in current.partitions.items()
-        if e.get("file") or e.get("deltas")
-    ]
+    work = [{"part": int(p), "files": mf.entry_rels(e)}
+            for p, e in current.partitions.items() if mf.entry_rels(e)]
     if not work:
         return None
     # filename carries the sort order so a cluster rewrite can never
@@ -403,8 +363,7 @@ def restamp_stats(table_dir: str, fs=None) -> mf.TableManifest | None:
     from ..core.merge import collapse_deltas
     from ..core.reconcile import conform
     from ..state.fs import default_fs
-    from .cdc import _STATS_EXCLUDE, _col_stats_json
-    from .telemetry import sketch_stats_json as _sketch_json2
+    from .cdc import _STATS_EXCLUDE, _stats_fields, fold_entry
 
     fs = default_fs(fs)
     current = mf.load_current(table_dir, fs)
@@ -432,18 +391,12 @@ def restamp_stats(table_dir: str, fs=None) -> mf.TableManifest | None:
                 tabs.append(conform(
                     fs.read_parquet(f, columns=[c for c in read_cols if c in have]),
                     proj))
-            t = collapse_deltas(tabs)
             rows.append({"part": int(row["part"]),
-                         "col_stats": _col_stats_json(t),
-                         "col_sketch": _sketch_json2(t)})
-        return pa.table({k: [r[k] for r in rows] for k in rows[0]})
+                         **_stats_fields(collapse_deltas(tabs))})
+        return pa.Table.from_pylist(rows)
 
-    work = [
-        {"part": int(p),
-         "files": ([e["file"]] if e.get("file") else []) + list(e.get("deltas", ()))}
-        for p, e in current.partitions.items()
-        if e.get("file") or e.get("deltas")
-    ]
+    work = [{"part": int(p), "files": mf.entry_rels(e)}
+            for p, e in current.partitions.items() if mf.entry_rels(e)]
     if not work:
         return None
     results = ray.data.from_items(work).map_batches(
@@ -454,11 +407,7 @@ def restamp_stats(table_dir: str, fs=None) -> mf.TableManifest | None:
     partitions = dict(current.partitions)
     for r in results:
         p = str(r["part"])
-        partitions[p] = {**partitions[p],
-                         "col_stats": json.loads(r["col_stats"]) if r["col_stats"] else {}}
-        if r.get("col_sketch"):
-            partitions[p]["col_sketch"] = json.loads(r["col_sketch"])
-            partitions[p].pop("col_sketch_mor", None)  # exact again
+        partitions[p] = fold_entry(partitions[p], r)
     manifest = mf.TableManifest(
         epoch=current.epoch,
         schema_b64=b64,
@@ -783,7 +732,7 @@ def vacuum(table_dir: str, keep_epochs: int = 2,
 
 
 def repartition_table(
-    table_dir: str, out_dir: str, new_partitions: int, exchange: str = "staged"
+    table_dir: str, out_dir: str, new_partitions: int
 ) -> mf.TableManifest:
     """Rewrite the committed table under a different hash-partition count
     — the cluster-resize path. The partition modulus is pinned per table
@@ -809,8 +758,7 @@ def repartition_table(
     src_mode = current.epoch_counters.get("update_mode", "replace")
     m = apply_events_dataset(
         rows, out_dir, current.epoch, current.schema,
-        num_partitions=new_partitions, exchange=exchange,
-        update_mode=src_mode,
+        num_partitions=new_partitions, update_mode=src_mode,
         dropped_columns=current.dropped_columns,
     )
     if m is None:
@@ -838,8 +786,7 @@ def export_table(table_dir: str, bundle_dir: str) -> dict:
     os.makedirs(bundle_dir)
     footprint: dict[str, int] = {}
     for p in current.partitions.values():
-        rels = ([p["file"]] if p.get("file") else []) + list(p.get("deltas", ()))
-        for rel in rels:
+        for rel in mf.entry_rels(p):
             src = os.path.join(table_dir, rel)
             dst = os.path.join(bundle_dir, rel)
             os.makedirs(os.path.dirname(dst), exist_ok=True)
@@ -996,8 +943,7 @@ def _scan_resolved(table_dir: str, current: mf.TableManifest, fs, check):
     plain_files, mor_work = [], []
     for p, e in current.partitions.items():
         if e.get("deltas"):
-            rels = ([e["file"]] if e.get("file") else []) + list(e["deltas"])
-            mor_work.append({"part": int(p), "files": rels})
+            mor_work.append({"part": int(p), "files": mf.entry_rels(e)})
         elif e.get("file"):
             plain_files.append(os.path.join(table_dir, e["file"]))
 
@@ -1205,12 +1151,8 @@ def repair_from_replica(table_dir: str, replica_dir: str, fs=None) -> dict:
             f"table holds partitions absent from the replica: {sorted(extra)} "
             "— same-epoch replicas cannot disagree on the partition set")
 
-    work = [
-        {"part": p,
-         "files": ([e["file"]] if e.get("file") else []) + list(e.get("deltas", ()))}
-        for p in diverged
-        for e in [theirs_m.partitions[str(p)]]
-    ]
+    work = [{"part": p, "files": mf.entry_rels(theirs_m.partitions[str(p)])}
+            for p in diverged]
     m = _rewrite_partitions(
         table_dir, mine_m, work, fs,
         file_tag="-repair", source_dir=replica_dir,

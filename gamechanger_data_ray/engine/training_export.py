@@ -79,7 +79,7 @@ def _partition_work(table_dir: str, cur: mf.TableManifest) -> list[dict]:
     work = []
     for p in sorted(cur.partitions, key=int):
         e = cur.partitions[p]
-        rels = ([e["file"]] if e.get("file") else []) + list(e.get("deltas", ()))
+        rels = mf.entry_rels(e)
         if rels and e.get("rows"):
             work.append({"part": int(p), "files": rels})
     return work

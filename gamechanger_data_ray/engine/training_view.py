@@ -269,8 +269,7 @@ def training_view_refresh(
     work: list[dict] = []
     for p in sorted(cur.partitions, key=int):
         entry = cur.partitions[p]
-        rels = ([entry["file"]] if entry.get("file") else []) + list(
-            entry.get("deltas", ()))
+        rels = mf.entry_rels(entry)
         if not rels or not entry.get("rows"):
             continue  # empty partition: no bucket
         fp = _fingerprint(entry, trust_sig=trust_sig)

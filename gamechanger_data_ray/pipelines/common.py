@@ -31,13 +31,19 @@ def pool_size(frac: float = 0.5, minimum: int = 1) -> int:
     return max(minimum, min(total - 2, int(total * frac)))
 
 
-@functools.lru_cache(maxsize=256)
 def _stripped_schema(path: str) -> "pa.Schema":
     """File schema with key-value metadata removed — pyarrow 16's
     ``Schema.__hash__`` raises on metadata (it hashes the dict), which
     makes every downstream ``unify_schemas`` dedup fall back and spam
     'Failed to hash the schemas' from the workers. One cached footer
-    read per path; no data bytes."""
+    read per file version — keyed on (path, mtime, size), so a file
+    rewritten in place is read again; no data bytes."""
+    st = os.stat(path)
+    return _footer_schema(path, st.st_mtime_ns, st.st_size)
+
+
+@functools.lru_cache(maxsize=256)
+def _footer_schema(path: str, mtime_ns: int, size: int) -> "pa.Schema":
     import pyarrow.parquet as pq
 
     return pq.read_schema(path).remove_metadata()

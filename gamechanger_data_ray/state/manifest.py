@@ -44,17 +44,29 @@ def schema_from_b64(s: str) -> pa.Schema:
     return pa.ipc.read_schema(pa.BufferReader(base64.b64decode(s)))
 
 
+def entry_rels(entry: dict[str, Any]) -> list[str]:
+    """A partition entry's data files, relative to the table dir: the
+    base (if any) then its merge-on-read deltas, oldest→newest — the
+    order LWW resolution reads them in."""
+    return ([entry["file"]] if entry.get("file") else []) + list(entry.get("deltas", ()))
+
+
 @dataclass
 class TableManifest:
     epoch: int
     schema_b64: str
-    # partition id (str) -> {"file": relpath|None, "rows": int,
-    #   "watermark_lsn": int, "key_min": str, "key_max": str,
-    #   "col_stats": {col: [min, max]},  (payload zone maps; possibly
-    #     wide after delta commits — see cdc._widen_col_stats; absent =
-    #     unknown, never prune)
-    #   "deltas": [relpath, ...]}   (deltas: merge-on-read epoch files,
-    #   ordered oldest→newest; absent/[] = plain copy-on-write partition)
+    # partition id (str) -> entry, built ONLY by cdc.fold_entry:
+    #   {"file": relpath|None, "rows": int, "watermark_lsn": int,
+    #    "deltas": [relpath, ...],  (merge-on-read epoch files, ordered
+    #      oldest→newest; absent/[] = plain copy-on-write partition)
+    #    "key_min": str, "key_max": str,  (key zone map; "" = none)
+    #    "content_sig": str,  (identity of the resolved logical state,
+    #      layout-independent — unchanged by compact/cluster)
+    #    "col_stats": {col: [min, max]},  (payload zone maps; possibly
+    #      wide after delta commits; absent = unknown, never prune)
+    #    "col_sketch": {col: base64 KLL},  (numeric payload quantiles)
+    #    "col_sketch_mor": True}  (present = col_sketch was folded over
+    #      merge-on-read deltas and is approximate until a rewrite)
     partitions: dict[str, dict[str, Any]] = field(default_factory=dict)
     # lineage: per-epoch counters for THIS epoch + running totals
     epoch_counters: dict[str, Any] = field(default_factory=dict)
@@ -84,20 +96,12 @@ class TableManifest:
         return schema_from_b64(self.schema_b64)
 
     def data_files(self, table_dir: str) -> list[str]:
-        out = []
-        for p in self.partitions.values():
-            if p.get("file"):
-                out.append(os.path.join(table_dir, p["file"]))
-            for d in p.get("deltas", ()):
-                out.append(os.path.join(table_dir, d))
-        return out
+        return [os.path.join(table_dir, r)
+                for p in self.partitions.values() for r in entry_rels(p)]
 
     def partition_files(self, table_dir: str, part: str) -> list[str]:
         """Base file + ordered delta files for one partition."""
-        p = self.partitions[part]
-        files = [os.path.join(table_dir, p["file"])] if p.get("file") else []
-        files += [os.path.join(table_dir, d) for d in p.get("deltas", ())]
-        return files
+        return [os.path.join(table_dir, r) for r in entry_rels(self.partitions[part])]
 
     @property
     def name(self) -> str:

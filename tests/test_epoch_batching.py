@@ -38,21 +38,33 @@ def test_batched_equals_per_epoch(tmp_path):
     )
 
 
-def test_staged_and_sort_exchanges_identical(tmp_path):
-    """Both physical shuffles must produce byte-identical tables, counters
-    and no leftover staging debris."""
-    import os
+def test_file_list_and_dataset_inputs_identical(tmp_path):
+    """The staged exchange's two inputs — a changelog FILE list (one fused
+    stage task per file, what replay uses) and a change-event Dataset
+    (``write_parquet(partition_cols=...)``, what bootstrap/union/gate/
+    relay use) — must produce byte-identical tables, counters and
+    manifest entries, and leave no staging debris."""
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from gamechanger_data_ray.core.changelog import ready_epochs
+    from gamechanger_data_ray.core.reconcile import unify_all
+    from gamechanger_data_ray.engine.cdc import _epoch_files, apply_events_dataset
 
     cd = str(tmp_path / "cl")
     write_changelog(cd, num_epochs=3, events_per_epoch=1500, num_keys=300, zipf_a=1.5)
-    t_staged = str(tmp_path / "staged")
-    t_sort = str(tmp_path / "sorted")
-    replay(cd, t_staged, num_partitions=4, exchange="staged")
-    replay(cd, t_sort, num_partitions=4, exchange="sort")
-    assert table_to_arrow(t_staged).equals(table_to_arrow(t_sort))
-    ms, mo = mf.load_current(t_staged), mf.load_current(t_sort)
-    assert ms.totals == mo.totals
-    assert ms.epoch_counters["per_partition"] == mo.epoch_counters["per_partition"]
-    assert not os.path.exists(os.path.join(t_staged, "_staging")) or not os.listdir(
-        os.path.join(t_staged, "_staging")
-    )
+    t_files = str(tmp_path / "files")
+    t_ds = str(tmp_path / "dataset")
+    replay(cd, t_files, num_partitions=4)
+    files = [f for e in ready_epochs(cd) for f in _epoch_files(cd, e)]
+    apply_events_dataset(ray.data.read_parquet(files), t_ds, 3,
+                         unify_all([pq.read_schema(f) for f in files]),
+                         num_partitions=4)
+    assert table_to_arrow(t_files).equals(table_to_arrow(t_ds))
+    mf_, md = mf.load_current(t_files), mf.load_current(t_ds)
+    assert mf_.totals == md.totals
+    assert mf_.epoch_counters["per_partition"] == md.epoch_counters["per_partition"]
+    assert mf_.partitions == md.partitions
+    for t in (t_files, t_ds):
+        staging = os.path.join(t, "_staging")
+        assert not os.path.exists(staging) or not os.listdir(staging)

@@ -56,7 +56,16 @@ def test_phase_wall_in_epoch_counters(tmp_path):
     assert set(pw) == {"stage", "merge"}
     assert pw["stage"] > 0 and pw["merge"] > 0
 
-    # sort exchange records the fused pipeline wall
-    td2 = str(tmp_path / "tb2")
-    m2 = replay(cd, td2, num_partitions=4, exchange="sort")
-    assert m2.epoch_counters["phase_wall"].get("pipeline", 0) > 0
+    # the Dataset input to the same exchange records the same two phases
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from gamechanger_data_ray.core.changelog import ready_epochs
+    from gamechanger_data_ray.engine.cdc import _epoch_files, apply_events_dataset
+
+    files = [f for e in ready_epochs(cd) for f in _epoch_files(cd, e)]
+    m2 = apply_events_dataset(ray.data.read_parquet(files), str(tmp_path / "tb2"), 2,
+                              pq.read_schema(files[0]), num_partitions=4)
+    pw = m2.epoch_counters["phase_wall"]
+    assert set(pw) == {"stage", "merge"}
+    assert pw["stage"] > 0 and pw["merge"] > 0

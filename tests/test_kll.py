@@ -100,6 +100,49 @@ def test_serialization_roundtrip():
         assert s2.quantile(q) == s.quantile(q)
 
 
+def _v1_compact(s: KLL) -> bytes:
+    """The original manifest wire form: ``<III`` (k, depth, n) header,
+    then ``<I`` count + float32 items per level, zlib-compressed."""
+    import struct
+    import zlib
+
+    parts = [struct.pack("<III", s.k, len(s.levels), int(s.n))]
+    for buf in s.levels:
+        parts.append(struct.pack("<I", len(buf)))
+        parts.append(np.asarray(buf, dtype=np.float32).tobytes())
+    return zlib.compress(b"".join(parts), 6)
+
+
+def test_compact_counts_past_32_bits():
+    """A long-lived merge-on-read partition folds sketch counts past
+    2^32; the compact form must carry them (a 32-bit count field raised
+    struct.error and crashed the commit)."""
+    from gamechanger_data_ray.core.sketch import kll_from_compact, kll_to_compact
+
+    s = KLL(48)
+    s.add_many(np.arange(1000.0))
+    s.n = 2**32
+    back = kll_from_compact(kll_to_compact(s))
+    assert back.n == 2**32 and back.k == 48
+    assert [b.tolist() for b in back.levels] == [
+        np.asarray(b, dtype=np.float32).astype(np.float64).tolist() for b in s.levels]
+    big = back.merge(back)
+    assert kll_from_compact(kll_to_compact(big)).n == 2**33
+
+
+def test_compact_v1_blobs_still_decode():
+    """Manifests written before the 64-bit header keep reading."""
+    from gamechanger_data_ray.core.sketch import kll_from_compact
+
+    rng = np.random.default_rng(3)
+    s = KLL(48, seed=1)
+    s.add_many(rng.normal(0, 1, 5000))
+    back = kll_from_compact(_v1_compact(s))
+    assert back.k == s.k and back.n == s.n
+    for q in (0.1, 0.5, 0.9):
+        assert back.quantile(q) == pytest.approx(s.quantile(q), rel=1e-6)
+
+
 def test_fixed_memory():
     """The whole point: item count stays O(k log n), not O(n)."""
     rng = np.random.default_rng(2)

@@ -143,3 +143,17 @@ def test_translate_to_ascii_property_matches_python():
         assert got == exp
 
     check()
+
+
+def test_stripped_schema_sees_an_overwritten_file(tmp_path):
+    """The footer-schema cache is keyed on the file's identity, not its
+    path: a file rewritten in place must not serve the old schema."""
+    import pyarrow.parquet as pq
+
+    from gamechanger_data_ray.pipelines.common import _stripped_schema
+
+    path = str(tmp_path / "t.parquet")
+    pq.write_table(pa.table({"a": [1, 2]}), path)
+    assert _stripped_schema(path).names == ["a"]
+    pq.write_table(pa.table({"b": ["x", "y", "z"]}), path)
+    assert _stripped_schema(path).names == ["b"]
