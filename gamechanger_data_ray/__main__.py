@@ -715,13 +715,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.cmd == "history":
-        from gamechanger_data_ray.engine.maintenance import list_manifests, load_manifest
         from gamechanger_data_ray.state import manifest as mf
 
         cur = mf.committed_epoch(args.table)
         rows = []
-        for e in list_manifests(args.table):
-            m = load_manifest(args.table, e)
+        for e in mf.list_manifests(args.table):
+            m = mf.load_manifest(args.table, e)
             c = {k: v for k, v in m.epoch_counters.items() if k != "per_partition"}
             rows.append(
                 {"epoch": e, "committed": e == cur, "rows": m.totals.get("rows"),

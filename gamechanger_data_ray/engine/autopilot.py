@@ -77,10 +77,10 @@ def _active_cluster_label(table_dir: str, current: mf.TableManifest,
     label = current.epoch_counters.get("clustered_by")
     if label:
         return str(label)
-    for epoch in sorted(maintenance.list_manifests(table_dir), reverse=True):
+    for epoch in sorted(mf.list_manifests(table_dir, fs), reverse=True):
         if epoch > current.epoch:
             continue  # restored past a rollback: ignore the undone future
-        m = maintenance.load_manifest(table_dir, epoch)
+        m = mf.load_manifest(table_dir, epoch, fs)
         label = m.epoch_counters.get("clustered_by")
         if label:
             return str(label)
@@ -204,7 +204,7 @@ def plan(
                           f"sketches/bounds (manifest-only re-exact)",
             })
 
-    retained = maintenance.list_manifests(table_dir)
+    retained = mf.list_manifests(table_dir, fs)
     if len(retained) > keep_manifests:
         actions.append({
             "op": "vacuum", "keep_epochs": keep_manifests,

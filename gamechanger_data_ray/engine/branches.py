@@ -44,6 +44,7 @@ import json
 import os
 import re
 import shutil
+from dataclasses import replace
 
 from ..state import manifest as mf
 from ..state.fs import StorageAdapter, default_fs
@@ -145,18 +146,9 @@ def list_branches(table_dir: str, fs: StorageAdapter | None = None) -> dict[str,
 
 def _staged_manifests(bdir: str, fork: dict, fs: StorageAdapter) -> list[mf.TableManifest]:
     """Branch manifests strictly after the fork point, ascending."""
-    mdir = os.path.join(bdir, mf.MANIFEST_DIR)
     fp = (fork["parent_epoch"], fork["parent_rev"])
-    found = []
-    for fname in os.listdir(mdir):
-        er = mf.parse_manifest_name(fname)
-        if er is not None and er > fp:
-            found.append(er)
-    return [
-        mf.TableManifest.from_json(
-            fs.read_text(os.path.join(mdir, mf.manifest_name(*er))))
-        for er in sorted(found)
-    ]
+    return [mf.load_manifest(bdir, e, fs, rev=r)
+            for e, r in mf.manifest_ids(bdir, fs) if (e, r) > fp]
 
 
 def branch_publish(
@@ -233,17 +225,12 @@ def branch_publish(
     mdir = os.path.join(table_dir, mf.MANIFEST_DIR)
     reframed = []
     for m in staged:
-        reframed.append(mf.TableManifest(
-            epoch=m.epoch,
-            schema_b64=m.schema_b64,
+        reframed.append(replace(
+            m,
             partitions=_map_partitions(
                 m.partitions,
                 lambda r: _to_parent_frame(r, table_dir, name)),
             epoch_counters={**m.epoch_counters, "published_from_branch": name},
-            totals=m.totals,
-            num_partitions=m.num_partitions,
-            rev=m.rev,
-            dropped_columns=m.dropped_columns,
         ))
     # intermediates first (history), head last through the commit fence;
     # a crash in between leaves future-epoch manifest files the retried
@@ -490,13 +477,7 @@ def branch_referenced_files(table_dir: str, fs: StorageAdapter | None = None) ->
         bdir = os.path.join(root, name)
         if _fork_info(bdir, fs) is None:
             continue
-        mdir = os.path.join(bdir, mf.MANIFEST_DIR)
-        if not os.path.isdir(mdir):
-            continue
-        for fname in os.listdir(mdir):
-            if mf.parse_manifest_name(fname) is None:
-                continue
-            m = mf.TableManifest.from_json(
-                fs.read_text(os.path.join(mdir, fname)))
+        for e, r in mf.manifest_ids(bdir, fs):
+            m = mf.load_manifest(bdir, e, fs, rev=r)
             out.update(os.path.abspath(p) for p in m.data_files(bdir))
     return out

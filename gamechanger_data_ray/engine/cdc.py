@@ -50,7 +50,6 @@ from typing import Any
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 import ray.data
 
 from ..core import changelog as cl
@@ -209,18 +208,21 @@ _INDEX_COLUMNS = ["op", "lsn", "seq", "doc_id"]
 def _load_state(
     table_dir: str, rels: list[str], schema: pa.Schema,
     fs: StorageAdapter, columns: list[str] | None = None,
+    sort_by_key: bool = True,
 ) -> pa.Table | None:
-    """A partition's resolved current state: base file + any merge-on-read
-    deltas, LWW-collapsed with tombstones dropped."""
+    """A partition's resolved current state — the one partition resolver
+    of every committed-state read: base file + any merge-on-read deltas,
+    conformed to ``schema`` (projected to ``columns``; a column an older
+    file lacks comes back null), LWW-collapsed with tombstones dropped.
+    ``sort_by_key=False`` skips the key sort of a multi-file collapse for
+    callers that re-order the rows anyway."""
     if not rels:
         return None
-    tabs = [
-        conform(fs.read_parquet(os.path.join(table_dir, r), columns=columns),
-                schema if columns is None
-                else pa.schema([schema.field(schema.get_field_index(c)) for c in columns]))
-        for r in rels
-    ]
-    return collapse_deltas(tabs)
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    tabs = [conform(fs.read_parquet(os.path.join(table_dir, r), columns=columns), schema)
+            for r in rels]
+    return collapse_deltas(tabs, sort_by_key=sort_by_key)
 
 
 BLOOM_SUFFIX = ".bloom"
@@ -1233,34 +1235,16 @@ def _manifest_dataset(
             schema = mf.schema_from_b64(full_b64)
             proj = mf.schema_from_b64(out_b64)
             # column pruning still applies under merge-on-read: read only
-            # the projected/predicate columns plus what LWW resolution
-            # needs (key + order + op), never the whole row
+            # the projected columns plus what LWW resolution needs (key +
+            # order + op). Predicate columns aren't introspectable
+            # portably, so a predicate forces a full-column read of the
+            # small merged slice (the filter then projects)
             need = set(proj.names) | {"doc_id", "lsn", "seq", "op"}
-            if predicate is not None:
-                # predicate columns aren't introspectable portably; a
-                # predicate forces a full-column read of the small merged
-                # slice (the filter then projects)
-                cols = None
-            else:
-                cols = [n for n in schema.names if n in need]
-            read_schema = (schema if cols is None else
-                           pa.schema([schema.field(schema.get_field_index(c)) for c in cols]))
-            def read_one(path: str) -> pa.Table:
-                if cols is None:
-                    return conform(fs.read_parquet(path), read_schema)
-                # a file predating a schema evolution may lack some of the
-                # projected columns — read what it has, conform fills nulls
-                have = set(fs.read_parquet_schema(path).names)
-                return conform(
-                    fs.read_parquet(path, columns=[c for c in cols if c in have]),
-                    read_schema,
-                )
-
+            cols = (None if predicate is not None
+                    else [n for n in schema.names if n in need])
             out: list[pa.Table] = []
             for row in batch.to_pylist():
-                t = collapse_deltas(
-                    [read_one(os.path.join(table_dir, r)) for r in row["files"]]
-                )
+                t = _load_state(table_dir, row["files"], schema, fs, columns=cols)
                 if predicate is not None:
                     t = pads.dataset(t).to_table(filter=predicate)
                 out.append(conform(t, proj))
@@ -1314,10 +1298,19 @@ def read_table(
     bounded column are excluded (SQL comparison semantics).
 
     ``epoch`` (an int or a snapshot tag name) scans AS OF that retained
-    manifest instead of the committed one — bounded time-travel scans
-    compose with all of the above."""
+    manifest instead of the committed one, without moving ``_CURRENT``
+    (the non-destructive sibling of ``maintenance.restore``; analog of
+    reading a timestamped snapshot prefix,
+    ``gc_ingest/tools/snapshot/utils.py:180-257``) — bounded time-travel
+    scans compose with all of the above. It fails up front if vacuum
+    removed any file that manifest lists."""
     fs = default_fs(fs)
     current = _resolve_manifest(table_dir, epoch, fs)
+    if epoch is not None:
+        missing = [f for f in current.data_files(table_dir) if not fs.exists(f)]
+        if missing:
+            raise FileNotFoundError(
+                f"cannot read as of epoch {epoch}: {len(missing)} file(s) vacuumed")
     if current is None or not current.partitions:
         return ray.data.from_arrow(pa.table({}))
     out_schema = _project(current.schema, payload_only, columns)
@@ -1336,11 +1329,11 @@ def _resolve_manifest(
     string → a snapshot tag name."""
     if epoch is None:
         return mf.load_current(table_dir, fs)
-    from .maintenance import load_manifest, resolve_tag
-
     if isinstance(epoch, str):
-        epoch = resolve_tag(table_dir, epoch)
-    return load_manifest(table_dir, epoch)
+        from .maintenance import resolve_tag
+
+        epoch = resolve_tag(table_dir, epoch, fs)
+    return mf.load_manifest(table_dir, epoch, fs)
 
 
 def routed_partition_files(
@@ -1442,42 +1435,18 @@ def read_keys(
     return t
 
 
-def read_table_asof(
-    table_dir: str, epoch: int | str, payload_only: bool = False,
-    columns: list[str] | None = None,
-) -> ray.data.Dataset:
-    """Time-travel read: the table as of a retained epoch's manifest,
-    WITHOUT moving the ``_CURRENT`` pointer (the non-destructive sibling
-    of ``maintenance.restore``; analog of reading a timestamped snapshot
-    prefix, ``gc_ingest/tools/snapshot/utils.py:180-257``). ``epoch`` may
-    be a named tag (``maintenance.tag`` — vacuum-pinned snapshots). Fails
-    clearly if the manifest or its files were vacuumed."""
-    from .maintenance import load_manifest, resolve_tag
-
-    if isinstance(epoch, str):
-        epoch = resolve_tag(table_dir, epoch)
-    m = load_manifest(table_dir, epoch)
-    missing = [f for f in m.data_files(table_dir) if not os.path.exists(f)]
-    if missing:
-        raise FileNotFoundError(
-            f"cannot read as of epoch {epoch}: {len(missing)} file(s) vacuumed"
-        )
-    out_schema = _project(m.schema, payload_only, columns)
-    return _manifest_dataset(table_dir, m, out_schema, None, default_fs(None))
-
-
 def table_to_arrow(table_dir: str, sort_by_key: bool = True) -> pa.Table:
     """Driver-side full read — for tests/small tables only."""
-    current = mf.load_current(table_dir)
+    fs = default_fs(None)
+    current = mf.load_current(table_dir, fs)
     if current is None or not current.partitions:
         return pa.table({})
     schema = current.schema
     tabs = []
     for p in sorted(current.partitions, key=int):
-        files = current.partition_files(table_dir, p)
-        if not files:
-            continue
-        tabs.append(collapse_deltas([conform(pq.read_table(f), schema) for f in files]))
+        t = _load_state(table_dir, mf.entry_rels(current.partitions[p]), schema, fs)
+        if t is not None:
+            tabs.append(t)
     t = pa.concat_tables(tabs)
     if sort_by_key and t.num_rows:
         t = t.take(pc.sort_indices(t, sort_keys=[("doc_id", "ascending")]))

@@ -25,55 +25,23 @@ Closure property (tested): LWW-applying the ``"events"``-mode diff onto the
 
 from __future__ import annotations
 
-import os
-
 import pyarrow as pa
 import ray.data
 
 from ..core.diff import CHANGE_COLUMN, SIGN_COLUMN, diff_states
-from ..core.merge import collapse_deltas
-from ..core.reconcile import conform, unify_schemas
+from ..core.reconcile import unify_schemas
 from ..state import manifest as mf
 from ..state.fs import StorageAdapter, default_fs
-
-
-def load_manifest_fs(
-    table_dir: str, epoch: int, fs: StorageAdapter | None = None
-) -> mf.TableManifest:
-    """Load a retained manifest through the storage adapter (works on any
-    pyarrow filesystem, unlike the local-only maintenance helpers)."""
-    fs = default_fs(fs)
-    mdir = os.path.join(table_dir, mf.MANIFEST_DIR)
-    # highest retained rev for the epoch (a rev = compaction rewrite of the
-    # same logical state; older revs' files may be vacuumed)
-    best: str | None = None
-    best_rev = -1
-    for name in fs.listdir(mdir):
-        er = mf.parse_manifest_name(name)
-        if er is not None and er[0] == epoch and er[1] > best_rev:
-            best, best_rev = name, er[1]
-    if best is None:
-        raise FileNotFoundError(
-            f"no retained manifest for epoch {epoch} at "
-            f"{os.path.join(mdir, mf.manifest_name(epoch))} (vacuumed?)"
-        )
-    return mf.TableManifest.from_json(fs.read_text(os.path.join(mdir, best)))
+from .cdc import _load_state
 
 
 def _diff_task(table_dir: str, unified_b64: str, mode: str, fs: StorageAdapter):
-    def load(rels: list[str], schema: pa.Schema) -> pa.Table | None:
-        if not rels:
-            return None
-        return collapse_deltas(
-            [conform(fs.read_parquet(os.path.join(table_dir, r)), schema) for r in rels]
-        )
-
     def run(batch: pa.Table) -> pa.Table:
         schema = mf.schema_from_b64(unified_b64)
         out: list[pa.Table] = []
         for row in batch.to_pylist():
-            old = load(list(row["old_files"]), schema)
-            new = load(list(row["new_files"]), schema)
+            old = _load_state(table_dir, list(row["old_files"]), schema, fs)
+            new = _load_state(table_dir, list(row["new_files"]), schema, fs)
             out.append(diff_states(old, new, mode=mode))
         return pa.concat_tables(out)
 
@@ -99,14 +67,14 @@ def diff_table_epochs(
         if man_new is None:
             raise FileNotFoundError(f"no committed state at {table_dir}")
     else:
-        man_new = load_manifest_fs(table_dir, to_epoch, fs)
+        man_new = mf.load_manifest(table_dir, to_epoch, fs)
     if from_epoch is None:
         man_old = mf.TableManifest(
             epoch=-1, schema_b64=man_new.schema_b64,
             num_partitions=man_new.num_partitions, partitions={},
         )
     else:
-        man_old = load_manifest_fs(table_dir, from_epoch, fs)
+        man_old = mf.load_manifest(table_dir, from_epoch, fs)
     if man_old.num_partitions != man_new.num_partitions:
         raise ValueError(
             "diff requires both epochs to share the pinned hash-partition "
@@ -144,16 +112,6 @@ def diff_table_epochs(
         retry_exceptions=True,
         max_retries=4,
     )
-
-
-def _retained_epochs(table_dir: str, fs: StorageAdapter) -> list[int]:
-    mdir = os.path.join(table_dir, mf.MANIFEST_DIR)
-    out = set()
-    for name in fs.listdir(mdir):
-        er = mf.parse_manifest_name(name)
-        if er is not None:
-            out.add(er[0])
-    return sorted(out)
 
 
 def relay(
@@ -212,8 +170,7 @@ def relay(
                           else src_cur.num_partitions) or 32
     from_epoch = dst_cur.epoch if dst_cur is not None else None
     if from_epoch is not None:
-        retained = set(_retained_epochs(src_table, fs))
-        if from_epoch not in retained:
+        if from_epoch not in mf.list_manifests(src_table, fs):
             raise FileNotFoundError(
                 f"relay gap: source no longer retains epoch {from_epoch} "
                 f"(the destination's watermark); raise the source's vacuum "
@@ -222,7 +179,7 @@ def relay(
             )
 
     if step == "epoch":
-        ladder = [e for e in _retained_epochs(src_table, fs)
+        ladder = [e for e in mf.list_manifests(src_table, fs)
                   if (from_epoch is None or e > from_epoch) and e <= src_cur.epoch]
     else:
         ladder = [src_cur.epoch]
@@ -230,10 +187,10 @@ def relay(
     prev = from_epoch
     for e in ladder:
         events = diff_table_epochs(src_table, prev, e, mode="events", fs=fs)
-        man_new = load_manifest_fs(src_table, e, fs)
+        man_new = mf.load_manifest(src_table, e, fs)
         man_old = (mf.TableManifest(epoch=-1, schema_b64=man_new.schema_b64,
                                     num_partitions=man_new.num_partitions)
-                   if prev is None else load_manifest_fs(src_table, prev, fs))
+                   if prev is None else mf.load_manifest(src_table, prev, fs))
         incoming = unify_schemas(man_old.schema, man_new.schema)
         m = apply_events_dataset(
             events.drop_columns([CHANGE_COLUMN]),

@@ -32,7 +32,7 @@ import pyarrow as pa
 
 from ..state import manifest as mf
 from ..state.fs import default_fs
-from .cdc import _STATS_EXCLUDE, read_table_asof
+from .cdc import _STATS_EXCLUDE, read_table
 
 # beyond this many distinct values a string column is reported as
 # high-cardinality instead of histogrammed (an id/hash column would
@@ -82,7 +82,7 @@ def _epoch_histograms(
     table_dir: str, epoch: int, columns: list[str], numeric: set[str]
 ) -> tuple[int, dict[str, dict[str, int]]]:
     """One streaming pass: per-column bucket counts + total rows."""
-    ds = read_table_asof(table_dir, epoch, columns=columns)
+    ds = read_table(table_dir, columns=columns, epoch=epoch)
 
     def partial(t: pa.Table) -> pa.Table:
         cols, buckets, ns = [], [], []
@@ -151,10 +151,8 @@ def drift_report(
     # a column added by schema evolution doesn't exist in older manifests'
     # schemas — profile each epoch over what it actually has and report
     # the asymmetry instead of crashing the whole run
-    from .maintenance import load_manifest
-
-    have_f = set(load_manifest(table_dir, epoch_from).schema.names)
-    have_t = set(load_manifest(table_dir, e_to).schema.names)
+    have_f = set(mf.load_manifest(table_dir, epoch_from).schema.names)
+    have_t = set(mf.load_manifest(table_dir, e_to).schema.names)
     rows_f, hist_f = _epoch_histograms(
         table_dir, epoch_from, [c for c in cols if c in have_f], numeric)
     rows_t, hist_t = _epoch_histograms(

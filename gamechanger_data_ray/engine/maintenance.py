@@ -30,59 +30,25 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from dataclasses import replace
 
 from ..state import manifest as mf
-
-
-def _manifest_revs(table_dir: str) -> dict[int, int]:
-    """epoch -> highest retained rev."""
-    mdir = os.path.join(table_dir, mf.MANIFEST_DIR)
-    if not os.path.isdir(mdir):
-        return {}
-    out: dict[int, int] = {}
-    for name in os.listdir(mdir):
-        er = mf.parse_manifest_name(name)
-        if er is not None:
-            out[er[0]] = max(out.get(er[0], 0), er[1])
-    return out
-
-
-def list_manifests(table_dir: str) -> list[int]:
-    """Epochs with a retained manifest, ascending."""
-    return sorted(_manifest_revs(table_dir))
-
-
-def load_manifest(table_dir: str, epoch: int) -> mf.TableManifest:
-    """The manifest for ``epoch`` at its highest retained rev (a rev is a
-    physical rewrite — compaction — of the same logical state, so the
-    newest rev is always the one whose files exist)."""
-    rev = _manifest_revs(table_dir).get(epoch)
-    if rev is None:
-        raise FileNotFoundError(
-            f"no retained manifest for epoch {epoch} (have {list_manifests(table_dir)})"
-        )
-    path = os.path.join(table_dir, mf.MANIFEST_DIR, mf.manifest_name(epoch, rev))
-    with open(path) as f:
-        return mf.TableManifest.from_json(f.read())
 
 
 def restore(table_dir: str, epoch: int) -> mf.TableManifest:
     """Point the table back at an older committed epoch (pointer swap; the
     data files are immutable so this is O(1)). Fails clearly if the target
     manifest or any file it references has been vacuumed away."""
-    target = load_manifest(table_dir, epoch)
+    target = mf.load_manifest(table_dir, epoch)
     missing = [f for f in target.data_files(table_dir) if not os.path.exists(f)]
     if missing:
         raise FileNotFoundError(
             f"cannot restore epoch {epoch}: {len(missing)} data file(s) vacuumed, "
             f"e.g. {missing[0]}"
         )
-    # direct pointer write: restore intentionally moves the table backwards,
-    # so it bypasses the forward-only commit fence.
-    mf._atomic_write(
-        os.path.join(table_dir, mf.CURRENT_POINTER),
-        json.dumps({"epoch": epoch, "rev": target.rev, "manifest": target.name}),
-    )
+    # restore intentionally moves the table backwards, so it swaps the
+    # pointer directly, past the forward-only commit fence
+    mf.swap_pointer(table_dir, target)
     return target
 
 
@@ -119,9 +85,7 @@ def _rewrite_partitions(
     import pyarrow as pa
     import ray.data
 
-    from ..core.merge import collapse_deltas
-    from ..core.reconcile import conform
-    from .cdc import fold_entry, partition_entry
+    from .cdc import _load_state, fold_entry, partition_entry
 
     b64 = current.schema_b64
     new_rev = current.rev + 1
@@ -132,10 +96,8 @@ def _rewrite_partitions(
         schema = mf.schema_from_b64(b64)
         rows = []
         for row in batch.to_pylist():
-            files = [os.path.join(read_dir, r) for r in row["files"]]
-            merged = collapse_deltas(
-                [conform(fs.read_parquet(f), schema) for f in files],
-                sort_by_key=sort_collapsed)
+            merged = _load_state(read_dir, row["files"], schema, fs,
+                                 sort_by_key=sort_collapsed)
             if transform is not None and merged.num_rows:
                 merged = transform(merged)
             out_rel = os.path.join(
@@ -155,16 +117,9 @@ def _rewrite_partitions(
     for r in results:
         p = str(r["part"])
         partitions[p] = fold_entry(partitions[p], r)
-    manifest = mf.TableManifest(
-        epoch=epoch,
-        schema_b64=b64,
-        partitions=partitions,
-        epoch_counters={**current.epoch_counters, **(extra_counters or {})},
-        totals=current.totals,
-        num_partitions=current.num_partitions,
-        rev=new_rev,
-        dropped_columns=current.dropped_columns,
-    )
+    manifest = replace(
+        current, rev=new_rev, partitions=partitions,
+        epoch_counters={**current.epoch_counters, **(extra_counters or {})})
     if not mf.commit(table_dir, manifest, fs):
         return None
     return manifest
@@ -360,10 +315,8 @@ def restamp_stats(table_dir: str, fs=None) -> mf.TableManifest | None:
     import pyarrow as pa
     import ray.data
 
-    from ..core.merge import collapse_deltas
-    from ..core.reconcile import conform
     from ..state.fs import default_fs
-    from .cdc import _STATS_EXCLUDE, _stats_fields, fold_entry
+    from .cdc import _STATS_EXCLUDE, _load_state, _stats_fields, fold_entry
 
     fs = default_fs(fs)
     current = mf.load_current(table_dir, fs)
@@ -380,19 +333,10 @@ def restamp_stats(table_dir: str, fs=None) -> mf.TableManifest | None:
 
     def stats_one(batch: pa.Table) -> pa.Table:
         schema_w = mf.schema_from_b64(b64)
-        proj = pa.schema([schema_w.field(schema_w.get_field_index(c))
-                          for c in read_cols])
         rows = []
         for row in batch.to_pylist():
-            tabs = []
-            for rel in row["files"]:
-                f = os.path.join(table_dir, rel)
-                have = set(fs.read_parquet_schema(f).names)
-                tabs.append(conform(
-                    fs.read_parquet(f, columns=[c for c in read_cols if c in have]),
-                    proj))
-            rows.append({"part": int(row["part"]),
-                         **_stats_fields(collapse_deltas(tabs))})
+            state = _load_state(table_dir, row["files"], schema_w, fs, columns=read_cols)
+            rows.append({"part": int(row["part"]), **_stats_fields(state)})
         return pa.Table.from_pylist(rows)
 
     work = [{"part": int(p), "files": mf.entry_rels(e)}
@@ -408,16 +352,7 @@ def restamp_stats(table_dir: str, fs=None) -> mf.TableManifest | None:
     for r in results:
         p = str(r["part"])
         partitions[p] = fold_entry(partitions[p], r)
-    manifest = mf.TableManifest(
-        epoch=current.epoch,
-        schema_b64=b64,
-        partitions=partitions,
-        epoch_counters=current.epoch_counters,
-        totals=current.totals,
-        num_partitions=current.num_partitions,
-        rev=current.rev + 1,
-        dropped_columns=current.dropped_columns,
-    )
+    manifest = replace(current, rev=current.rev + 1, partitions=partitions)
     if not mf.commit(table_dir, manifest, fs):
         return None
     return manifest
@@ -485,16 +420,9 @@ def drop_column(table_dir: str, column: str, fs=None) -> mf.TableManifest:
             e["col_stats"] = {c: v for c, v in e["col_stats"].items()
                               if c != column}
         partitions[p] = e
-    manifest = mf.TableManifest(
-        epoch=current.epoch,
-        schema_b64=mf.schema_to_b64(new_schema),
-        partitions=partitions,
-        epoch_counters=current.epoch_counters,
-        totals=current.totals,
-        num_partitions=current.num_partitions,
-        rev=current.rev + 1,
-        dropped_columns=[*current.dropped_columns, column],
-    )
+    manifest = replace(
+        current, rev=current.rev + 1, schema_b64=mf.schema_to_b64(new_schema),
+        partitions=partitions, dropped_columns=[*current.dropped_columns, column])
     if not mf.commit(table_dir, manifest, fs):
         raise RuntimeError("drop_column fenced out by a racing commit")
     return manifest
@@ -548,17 +476,10 @@ def retire_dropped(table_dir: str, column: str | None = None, fs=None) -> dict:
     retired = sorted(c for c, n in counts.items() if n == 0)
     pending = {c: n for c, n in counts.items() if n}
     if retired:
-        manifest = mf.TableManifest(
-            epoch=current.epoch,
-            schema_b64=current.schema_b64,
-            partitions=current.partitions,
-            epoch_counters=current.epoch_counters,
-            totals=current.totals,
-            num_partitions=current.num_partitions,
-            rev=current.rev + 1,
+        manifest = replace(
+            current, rev=current.rev + 1,
             dropped_columns=[c for c in current.dropped_columns
-                             if c not in retired],
-        )
+                             if c not in retired])
         if not mf.commit(table_dir, manifest, fs):
             raise RuntimeError("retire_dropped fenced out by a racing commit")
     return {"retired": retired, "pending": pending}
@@ -567,16 +488,18 @@ def retire_dropped(table_dir: str, column: str | None = None, fs=None) -> dict:
 TAGS_FILE = "_TAGS.json"
 
 
-def list_tags(table_dir: str) -> dict[str, int]:
+def list_tags(table_dir: str, fs=None) -> dict[str, int]:
     """Named snapshot tags: {name: epoch}. Tags pin their epoch's manifest
     and data files through vacuum — the Iceberg tag idea for reproducible
     reads ("the corpus release we trained v3 on") on top of the retained
     manifest history."""
+    from ..state.fs import default_fs
+
+    fs = default_fs(fs)
     p = os.path.join(table_dir, TAGS_FILE)
-    if not os.path.exists(p):
+    if not fs.exists(p):
         return {}
-    with open(p) as f:
-        return {k: int(v) for k, v in json.load(f).items()}
+    return {k: int(v) for k, v in json.loads(fs.read_text(p)).items()}
 
 
 def _write_tags(table_dir: str, tags: dict[str, int]) -> None:
@@ -606,9 +529,9 @@ def tag(table_dir: str, name: str, epoch: int | None = None) -> dict[str, int]:
     if cur is None:
         raise FileNotFoundError(f"no committed table at {table_dir}")
     e = cur.epoch if epoch is None else epoch
-    if e not in list_manifests(table_dir):
-        raise ValueError(f"epoch {e} has no retained manifest "
-                         f"(have {list_manifests(table_dir)})")
+    retained = mf.list_manifests(table_dir)
+    if e not in retained:
+        raise ValueError(f"epoch {e} has no retained manifest (have {retained})")
     tags = list_tags(table_dir)
     tags[name] = e
     _write_tags(table_dir, tags)
@@ -624,8 +547,8 @@ def untag(table_dir: str, name: str) -> dict[str, int]:
     return tags
 
 
-def resolve_tag(table_dir: str, name: str) -> int:
-    tags = list_tags(table_dir)
+def resolve_tag(table_dir: str, name: str, fs=None) -> int:
+    tags = list_tags(table_dir, fs)
     if name not in tags:
         raise KeyError(f"no tag {name!r} (have {sorted(tags)})")
     return tags[name]
@@ -651,7 +574,7 @@ def vacuum(table_dir: str, keep_epochs: int = 2,
     if current is None:
         return {"files_deleted": 0, "sidecars_deleted": 0, "bytes_freed": 0,
                 "manifests_kept": []}
-    epochs = list_manifests(table_dir)
+    epochs = mf.list_manifests(table_dir)
     # retained window: everything >= the keep_epochs-th most recent, the
     # committed epoch (restore target safety), and every TAGGED epoch —
     # tags pin reproducible snapshots through retention
@@ -662,7 +585,7 @@ def vacuum(table_dir: str, keep_epochs: int = 2,
         young = set()
         for e in epochs:
             try:
-                m = load_manifest(table_dir, e)
+                m = mf.load_manifest(table_dir, e)
             except FileNotFoundError:
                 continue
             if m.epoch_counters.get("committed_at", cutoff) >= cutoff:
@@ -671,7 +594,7 @@ def vacuum(table_dir: str, keep_epochs: int = 2,
     referenced: set[str] = set()
     for e in kept:
         try:
-            m = load_manifest(table_dir, e)
+            m = mf.load_manifest(table_dir, e)
         except FileNotFoundError:
             continue
         referenced.update(os.path.abspath(p) for p in m.data_files(table_dir))
@@ -701,17 +624,13 @@ def vacuum(table_dir: str, keep_epochs: int = 2,
                 freed += os.path.getsize(p)
                 os.remove(p)
                 sidecars += 1
-    revs = _manifest_revs(table_dir)
-    mdir = os.path.join(table_dir, mf.MANIFEST_DIR)
-    for name in os.listdir(mdir):
-        er = mf.parse_manifest_name(name)
-        if er is None:
-            continue
-        e, r = er
+    ids = mf.manifest_ids(table_dir)
+    newest = dict(ids)  # ids ascend, so each epoch keeps its newest rev
+    for e, r in ids:
         # drop manifests of evicted epochs, and superseded (pre-compaction)
         # revs of kept epochs — their files are already unreferenced
-        if e not in kept or r < revs.get(e, 0):
-            os.remove(os.path.join(mdir, name))
+        if e not in kept or r < newest[e]:
+            os.remove(os.path.join(table_dir, mf.MANIFEST_DIR, mf.manifest_name(e, r)))
 
     # sweep staging debris from crashed/raced attempts of committed epochs
     # (a live attempt for a committed epoch is doomed to be fenced anyway,
@@ -957,16 +876,13 @@ def _scan_resolved(table_dir: str, current: mf.TableManifest, fs, check):
         ds = ray.data.read_parquet(plain_files, filesystem=fs.fs, include_paths=True)
         pieces.append(ds.map_batches(check_plain, batch_format="pyarrow"))
     if mor_work:
-        from ..core.merge import collapse_deltas
+        from .cdc import _load_state
 
         def resolve(batch: pa.Table) -> pd.DataFrame:
             schema = mf.schema_from_b64(b64)
             outs = []
             for row in batch.to_pylist():
-                t = collapse_deltas([
-                    conform(fs.read_parquet(os.path.join(table_dir, r)), schema)
-                    for r in row["files"]
-                ])
+                t = _load_state(table_dir, row["files"], schema, fs)
                 outs.append(check(t, pd.Series([int(row["part"])] * t.num_rows)))
             return pd.concat(outs, ignore_index=True)
 

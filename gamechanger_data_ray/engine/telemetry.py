@@ -128,11 +128,9 @@ def quantile_history(
     the per-epoch distribution timeline, O(#manifests) driver work and
     zero data reads (works on vacuumed-data epochs whose manifests are
     retained)."""
-    from .maintenance import list_manifests, load_manifest
-
     out = []
-    for epoch in list_manifests(table_dir):
-        man = load_manifest(table_dir, epoch)
+    for epoch in mf.list_manifests(table_dir):
+        man = mf.load_manifest(table_dir, epoch)
         s = _epoch_sketches(man).get(column)
         if s is None:
             continue

@@ -421,10 +421,8 @@ def read_windowed(view_dir: str, fs: StorageAdapter | None = None) -> pa.Table:
 
 
 def _history(view_dir: str):
-    from .maintenance import list_manifests, load_manifest
-
-    for e in list_manifests(view_dir):
-        yield load_manifest(view_dir, e)
+    for e in mf.list_manifests(view_dir):
+        yield mf.load_manifest(view_dir, e)
 
 
 def late_rows(
@@ -478,10 +476,8 @@ def expire_window_outputs(
     import re
     import shutil
 
-    from .maintenance import list_manifests
-
     fs = default_fs(fs)
-    retained = set(list_manifests(view_dir))
+    retained = set(mf.list_manifests(view_dir))
     freed = late_removed = trig_removed = 0
     late_root = os.path.join(view_dir, "late")
     if os.path.isdir(late_root):
@@ -511,10 +507,8 @@ def orphaned_window_outputs(view_dir: str) -> int:
     the autopilot's signal to plan an ``expire-window-outputs``."""
     import re
 
-    from .maintenance import list_manifests
-
     try:
-        retained = set(list_manifests(view_dir))
+        retained = set(mf.list_manifests(view_dir))
     except FileNotFoundError:
         return 0
     n = 0

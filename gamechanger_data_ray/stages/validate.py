@@ -125,6 +125,12 @@ def _check_column(
             if req not in names:
                 _first_error(err, np.ones(n_top, dtype=bool),
                              f"{path}.{req}: required field missing")
+        if nulls.any():
+            # a null parent has no members to check: recurse on the
+            # non-null structs only (already flagged above unless nullable)
+            keep = np.flatnonzero(~nulls)
+            arr = arr.take(pa.array(keep))
+            row_map = keep if row_map is None else row_map[keep]
         for name, sub in (spec.get("properties") or {}).items():
             if name not in names:
                 continue

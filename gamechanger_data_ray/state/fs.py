@@ -130,7 +130,16 @@ class StorageAdapter:
     # -- parquet ------------------------------------------------------------
 
     def read_parquet(self, path: str, columns: list[str] | None = None) -> pa.Table:
-        return pq.read_table(path, filesystem=self.fs, columns=columns)
+        """The whole file, or just ``columns``. A projected name the file
+        lacks (it predates a schema evolution) is skipped — ``conform``
+        null-fills it — and the footer and the columns come from one
+        open."""
+        if columns is None:
+            return pq.read_table(path, filesystem=self.fs)
+        with self.fs.open_input_file(path) as f:
+            pf = pq.ParquetFile(f)
+            have = set(pf.schema_arrow.names)
+            return pf.read(columns=[c for c in columns if c in have])
 
     def read_parquet_schema(self, path: str) -> pa.Schema:
         return pq.read_schema(path, filesystem=self.fs)

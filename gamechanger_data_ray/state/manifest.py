@@ -17,6 +17,13 @@ pointer naming the committed manifest + epoch. Observable state = whatever
 ``_CURRENT`` points at, so a crash between data write and pointer swap is
 invisible and replay reconverges — exactly-once observable semantics on top
 of Ray's at-least-once tasks.
+
+Every retained manifest stays readable until vacuum drops it; the catalog
+of them is read here and nowhere else, through the storage adapter:
+:func:`manifest_ids` lists ``(epoch, rev)`` of each retained file,
+:func:`list_manifests` the retained epochs, and :func:`load_manifest` one
+epoch's newest (or a given) revision. :func:`swap_pointer` is the one
+writer of the ``_CURRENT`` format; :func:`commit` fences before calling it.
 """
 
 from __future__ import annotations
@@ -205,15 +212,53 @@ def commit(table_dir: str, manifest: TableManifest, fs: StorageAdapter | None = 
         return False
     mdir = os.path.join(table_dir, MANIFEST_DIR)
     fs.makedirs(mdir)
-    name = manifest.name
-    fs.atomic_write_text(os.path.join(mdir, name), manifest.to_json())
-    fs.atomic_write_text(
-        os.path.join(table_dir, CURRENT_POINTER),
-        json.dumps({"epoch": manifest.epoch, "rev": manifest.rev, "manifest": name}),
-    )
+    fs.atomic_write_text(os.path.join(mdir, manifest.name), manifest.to_json())
+    swap_pointer(table_dir, manifest, fs)
     return True
+
+
+def swap_pointer(table_dir: str, manifest: TableManifest,
+                 fs: StorageAdapter | None = None) -> None:
+    """Point ``_CURRENT`` at ``manifest``, whose file is already written.
+    Unfenced: :func:`commit` fences before calling it, and a restore
+    calls it directly because it moves the table backwards on purpose."""
+    default_fs(fs).atomic_write_text(
+        os.path.join(table_dir, CURRENT_POINTER),
+        json.dumps({"epoch": manifest.epoch, "rev": manifest.rev,
+                    "manifest": manifest.name}),
+    )
 
 
 def committed_epoch(table_dir: str, fs: StorageAdapter | None = None) -> int:
     cur = load_current(table_dir, fs)
     return cur.epoch if cur else 0
+
+
+def manifest_ids(table_dir: str, fs: StorageAdapter | None = None) -> list[tuple[int, int]]:
+    """Sorted ``(epoch, rev)`` of every retained manifest file; [] if the
+    table has none."""
+    names = default_fs(fs).listdir(os.path.join(table_dir, MANIFEST_DIR))
+    return sorted(er for er in map(parse_manifest_name, names) if er is not None)
+
+
+def list_manifests(table_dir: str, fs: StorageAdapter | None = None) -> list[int]:
+    """Epochs with a retained manifest, ascending."""
+    return sorted({e for e, _ in manifest_ids(table_dir, fs)})
+
+
+def load_manifest(table_dir: str, epoch: int, fs: StorageAdapter | None = None,
+                  rev: int | None = None) -> TableManifest:
+    """A retained manifest: ``epoch`` at ``rev``, by default its newest
+    retained rev (a rev is a physical rewrite — compaction — of the same
+    logical state, so the newest one is the one whose files exist)."""
+    fs = default_fs(fs)
+    if rev is None:
+        ids = manifest_ids(table_dir, fs)
+        revs = [r for e, r in ids if e == epoch]
+        if not revs:
+            raise FileNotFoundError(
+                f"no retained manifest for epoch {epoch} "
+                f"(have {sorted({e for e, _ in ids})})")
+        rev = revs[-1]
+    return TableManifest.from_json(fs.read_text(
+        os.path.join(table_dir, MANIFEST_DIR, manifest_name(epoch, rev))))

@@ -23,10 +23,10 @@ from gamechanger_data_ray.engine.cdc import replay, table_to_arrow
 from gamechanger_data_ray.engine.maintenance import (
     cluster_table,
     drop_column,
-    list_manifests,
 )
 from gamechanger_data_ray.engine.subscriptions import subscribe
 from gamechanger_data_ray.state import manifest as mf
+from gamechanger_data_ray.state.manifest import list_manifests
 
 P = 8
 
@@ -167,7 +167,7 @@ def test_manifest_backlog_vacuum(tmp_path):
     on_disk = {os.path.abspath(f)
                for f in glob.glob(os.path.join(tb, "part=*", "data-e*.parquet"))}
     for e in list_manifests(tb):
-        from gamechanger_data_ray.engine.maintenance import load_manifest
+        from gamechanger_data_ray.state.manifest import load_manifest
 
         live |= {os.path.abspath(f) for f in load_manifest(tb, e).data_files(tb)}
     assert on_disk == live

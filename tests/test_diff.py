@@ -16,8 +16,9 @@ from gamechanger_data_ray.core.diff import (
     TOMBSTONE_SEQ,
     diff_states,
 )
-from gamechanger_data_ray.engine.cdc import replay, table_to_arrow
-from gamechanger_data_ray.engine.diff import diff_table_epochs, load_manifest_fs
+from gamechanger_data_ray.engine.cdc import read_table, replay, table_to_arrow
+from gamechanger_data_ray.engine.diff import diff_table_epochs
+from gamechanger_data_ray.state.manifest import load_manifest
 
 SCHEMA = pa.schema(
     [
@@ -127,10 +128,8 @@ def test_diff_matches_full_state_compare(diffed_table):
 
 
 def table_to_arrow_asof(table_dir: str, epoch: int) -> pa.Table:
-    from gamechanger_data_ray.engine.cdc import read_table_asof
-
     t = pa.concat_tables(
-        read_table_asof(table_dir, epoch)
+        read_table(table_dir, epoch=epoch)
         .to_pandas()
         .pipe(lambda df: [pa.Table.from_pandas(df, preserve_index=False)])
     )
@@ -169,7 +168,7 @@ def test_partition_count_mismatch_rejected(diffed_table, tmp_path):
     _, full, _ = diffed_table
     repartitioned = str(tmp_path / "repart")
     repartition_table(full, repartitioned, new_partitions=4)
-    man_old = load_manifest_fs(full, 2)
+    man_old = load_manifest(full, 2)
     # hand-graft the 8-way epoch-2 manifest into the 4-way table's history
     import shutil
 

@@ -17,7 +17,7 @@ from gamechanger_data_ray.core.changelog import write_changelog
 from gamechanger_data_ray.core.reconcile import conform, unify_all
 from gamechanger_data_ray.engine.cdc import (
     read_keys,
-    read_table_asof,
+    read_table,
     replay,
     table_to_arrow,
 )
@@ -109,7 +109,7 @@ def test_drop_column_lifecycle(tmp_path):
     # under its own schema (a tag at the drop's own epoch would resolve
     # to the latest revision and see the drop — documented nuance)
     asof = pa.concat_tables(
-        [pa.table(b) for b in read_table_asof(tb, "pre-drop")
+        [pa.table(b) for b in read_table(tb, epoch="pre-drop")
          .iter_batches(batch_format="pyarrow")])
     assert "lang" in asof.schema.names
 

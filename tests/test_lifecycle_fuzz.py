@@ -31,7 +31,7 @@ from gamechanger_data_ray.core.changelog import write_changelog
 from gamechanger_data_ray.core.reconcile import conform, unify_all
 from gamechanger_data_ray.engine.cdc import (
     read_keys,
-    read_table_asof,
+    read_table,
     replay,
     table_to_arrow,
 )
@@ -85,7 +85,7 @@ def payload(t: pa.Table, names) -> pa.Table:
 
 
 def asof_payload(table_dir: str, name: str, names) -> pa.Table:
-    ds = read_table_asof(table_dir, name)
+    ds = read_table(table_dir, epoch=name)
     t = pa.concat_tables(
         [pa.table(b) for b in ds.iter_batches(batch_format="pyarrow")]
     )
@@ -278,4 +278,4 @@ def test_lifecycle_fuzz(tmp_path, seed):
     vacuum(tb, keep_epochs=1)
     check_state()
     for name, want in tags.items():
-        read_table_asof(tb, name)  # raises if a pinned file was swept
+        read_table(tb, epoch=name)  # raises if a pinned file was swept

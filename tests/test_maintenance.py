@@ -13,11 +13,11 @@ from gamechanger_data_ray.engine.cdc import replay, table_to_arrow
 from gamechanger_data_ray.engine.maintenance import (
     export_table,
     import_table,
-    list_manifests,
     restore,
     vacuum,
 )
 from gamechanger_data_ray.state import manifest as mf
+from gamechanger_data_ray.state.manifest import list_manifests
 
 
 @pytest.fixture()
@@ -157,12 +157,12 @@ def test_repartition_refuses_committed_target(table, tmp_path):
 
 
 def test_read_asof_is_nondestructive_time_travel(table):
-    from gamechanger_data_ray.engine.cdc import read_table_asof
+    from gamechanger_data_ray.engine.cdc import read_table
 
     import pyarrow.compute as pc
 
     now = table_to_arrow(table)
-    asof2 = read_table_asof(table, 2).to_pandas().sort_values("doc_id").reset_index(drop=True)
+    asof2 = read_table(table, epoch=2).to_pandas().sort_values("doc_id").reset_index(drop=True)
     # pointer untouched
     assert mf.committed_epoch(table) == 4
     # asof-2 state equals what restore(2) would show, without restoring

@@ -22,8 +22,9 @@ from gamechanger_data_ray.engine.cdc import (
     replay,
     table_to_arrow,
 )
-from gamechanger_data_ray.engine.maintenance import compact, load_manifest, vacuum
+from gamechanger_data_ray.engine.maintenance import compact, vacuum
 from gamechanger_data_ray.state import manifest as mf
+from gamechanger_data_ray.state.manifest import load_manifest
 
 N_EPOCHS = 3
 

@@ -19,10 +19,11 @@ import sys
 import pytest
 
 from gamechanger_data_ray.core.changelog import write_changelog
-from gamechanger_data_ray.engine.cdc import apply_epoch, replay, table_to_arrow
+from gamechanger_data_ray.engine.cdc import apply_epoch, read_table, replay, table_to_arrow
 from gamechanger_data_ray.engine.diff import relay
-from gamechanger_data_ray.engine.maintenance import list_manifests, vacuum
+from gamechanger_data_ray.engine.maintenance import vacuum
 from gamechanger_data_ray.state import manifest as mf
+from gamechanger_data_ray.state.manifest import list_manifests
 
 
 @pytest.fixture()
@@ -72,11 +73,9 @@ def test_relay_epoch_step_builds_time_travel_ladder(tmp_path, src_table):
     assert r["applied"] == 3
     # dst retains the same epoch ladder as src: per-epoch state matches
     assert list_manifests(dst) == [1, 2, 3]
-    from gamechanger_data_ray.engine.cdc import read_table_asof
-
     for e in (1, 2, 3):
-        sa = read_table_asof(src, e).to_pandas().sort_values("doc_id").reset_index(drop=True)
-        da = read_table_asof(dst, e).to_pandas().sort_values("doc_id").reset_index(drop=True)
+        sa = read_table(src, epoch=e).to_pandas().sort_values("doc_id").reset_index(drop=True)
+        da = read_table(dst, epoch=e).to_pandas().sort_values("doc_id").reset_index(drop=True)
         assert sa.equals(da), f"epoch {e} state differs"
 
 

@@ -6,15 +6,15 @@ from __future__ import annotations
 import pytest
 
 from gamechanger_data_ray.core.changelog import write_changelog
-from gamechanger_data_ray.engine.cdc import read_table_asof, replay
+from gamechanger_data_ray.engine.cdc import read_table, replay
 from gamechanger_data_ray.engine.maintenance import (
-    list_manifests,
     list_tags,
     resolve_tag,
     tag,
     untag,
     vacuum,
 )
+from gamechanger_data_ray.state.manifest import list_manifests
 
 
 def _table(tmp_path, epochs=4):
@@ -28,20 +28,20 @@ def test_tag_pins_epoch_through_vacuum(tmp_path):
     tb = _table(tmp_path)
     assert list_manifests(tb) == [1, 2, 3, 4]
     tag(tb, "v1-release", epoch=1)
-    rows_at_1 = read_table_asof(tb, "v1-release").count()
+    rows_at_1 = read_table(tb, epoch="v1-release").count()
     out = vacuum(tb, keep_epochs=1)
     # tagged epoch 1 survives retention; untagged 2 and 3 are dropped
     assert out["manifests_kept"] == [1, 4]
     assert list_manifests(tb) == [1, 4]
-    assert read_table_asof(tb, "v1-release").count() == rows_at_1
+    assert read_table(tb, epoch="v1-release").count() == rows_at_1
     with pytest.raises(FileNotFoundError):
-        read_table_asof(tb, 2)
+        read_table(tb, epoch=2)
     # untag → the next vacuum evicts epoch 1 too
     untag(tb, "v1-release")
     out2 = vacuum(tb, keep_epochs=1)
     assert out2["manifests_kept"] == [4]
     with pytest.raises(KeyError):
-        read_table_asof(tb, "v1-release")
+        read_table(tb, epoch="v1-release")
 
 
 def test_point_lookup_as_of_epoch_and_tag(tmp_path):

@@ -13,11 +13,11 @@ import pytest
 from gamechanger_data_ray.core.changelog import write_changelog
 from gamechanger_data_ray.engine.cdc import replay
 from gamechanger_data_ray.engine.maintenance import (
-    list_manifests,
     restore,
     vacuum,
 )
 from gamechanger_data_ray.state import manifest as mf
+from gamechanger_data_ray.state.manifest import list_manifests
 
 P = 2
 

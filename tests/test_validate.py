@@ -8,6 +8,8 @@ contract."""
 
 from __future__ import annotations
 
+import re
+
 import pyarrow as pa
 import pytest
 import ray.data
@@ -254,12 +256,17 @@ def test_validator_matches_serial_reference_property():
         "ref_list": st.one_of(st.none(),
                               st.lists(st.text(max_size=3), max_size=3)),
         "pages": st.lists(page, max_size=3),
+        "meta": st.one_of(st.none(), st.fixed_dictionaries({
+            "a": st.one_of(st.none(), st.integers(0, 9))})),
     })
 
     spec = {
         "type": "object",
         "required": ["doc_id", "pages"],
         "properties": {
+            # first, so its verdict is not masked by a later field's
+            "meta": {"type": "object", "nullable": True,
+                     "properties": {"a": {"type": "integer"}}},
             "doc_id": {"type": "string"},
             "ref_list": {"type": "array", "nullable": True,
                          "items": {"type": "string"}},
@@ -286,6 +293,7 @@ def test_validator_matches_serial_reference_property():
                 ("par_num", pa.int64()), ("par_text", pa.string()),
                 ("n_words", pa.int64())]))),
         ]))),
+        ("meta", pa.struct([("a", pa.int64())])),
     ])
 
     @settings(max_examples=60, deadline=None)
@@ -298,5 +306,12 @@ def test_validator_matches_serial_reference_property():
                     for name, sub in spec["properties"].items())
                 for r in rows]
         assert got == want, (rows, out["_verr"].to_pylist())
+        # the first violating top-level field agrees too, so a false
+        # positive on a late field is not hidden by an earlier violation
+        first = [next((name for name, sub in spec["properties"].items()
+                       if ref_check(r.get(name), sub, name) is not None), "")
+                 for r in rows]
+        assert [re.match(r"\w*", e).group(0) for e in out["_verr"].to_pylist()] \
+            == first, (rows, out["_verr"].to_pylist())
 
     run()
