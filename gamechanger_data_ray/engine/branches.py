@@ -178,8 +178,9 @@ def branch_publish(
     ``audit_schema`` is the DECLARATIVE output-contract audit (the
     reference's ``--verify`` against ``output_schema.json``, run at
     publish time instead of parse time): the staged payload rows stream
-    through ``stages.validate.validate_docs(mode='strict')`` and a
-    single contract violation refuses the publish."""
+    through ``stages.validate.validate_docs(mode='annotate')`` and a
+    single contract violation refuses the publish, naming the failing
+    row count and the first violation."""
     fs = default_fs(fs)
     bdir = branch_path(table_dir, name)
     fork = _fork_info(bdir, fs)
@@ -194,23 +195,30 @@ def branch_publish(
                 f"branch {name!r} failed the publish audit: "
                 f"{rep['violations']} — fix or discard; nothing published")
     if audit_schema is not None:
-        from ..stages.validate import SchemaError, validate_docs
+        import pyarrow as pa
+        import pyarrow.compute as pc
+
+        from ..stages.validate import validate_docs
         from .cdc import read_table
 
-        try:
-            # strict mode raises from the first offending task; the
-            # consuming count() just drives the stream
-            validate_docs(read_table(bdir, payload_only=True, fs=fs),
-                          audit_schema, mode="strict").count()
-        except Exception as e:  # ray wraps worker SchemaError
-            msg = str(e)
-            if isinstance(e, SchemaError) or "SchemaError" in msg or \
-                    "failed schema validation" in msg:
-                raise RuntimeError(
-                    f"branch {name!r} failed the declared-schema audit: "
-                    f"{msg.splitlines()[-1] if msg else msg} — fix or "
-                    "discard; nothing published") from e
-            raise
+        # annotate mode; each block reduces to its failing-row count and
+        # first error, so the refusal names the violation, and the
+        # driver holds one row per block
+        def failing(t):
+            errs = t.filter(pc.invert(t["_valid"]))["_verr"]
+            return pa.table({"n": pa.array([len(errs)], pa.int64()),
+                             "first": pa.array(errs[:1].to_pylist() or [None],
+                                               pa.string())})
+
+        bad = validate_docs(read_table(bdir, payload_only=True, fs=fs),
+                            audit_schema, mode="annotate").map_batches(
+            failing, batch_format="pyarrow").to_pandas()
+        if len(bad) and bad["n"].sum():
+            raise RuntimeError(
+                f"branch {name!r} failed the declared-schema audit: "
+                f"{int(bad['n'].sum())} row(s) failed schema validation; "
+                f"first: {bad['first'].dropna().iloc[0]} — fix or discard; "
+                "nothing published")
     cur = mf.load_current(table_dir, fs)
     if cur is None or (cur.epoch, cur.rev) != (fork["parent_epoch"], fork["parent_rev"]):
         raise RuntimeError(

@@ -1145,118 +1145,94 @@ def apply_revocation_sweep(
     )
 
 
-def _manifest_dataset(
+def scan_partitions(
     table_dir: str,
-    man: mf.TableManifest,
-    out_schema: pa.Schema,
-    predicate,
+    manifest: mf.TableManifest,
     fs: StorageAdapter,
+    read_schema: pa.Schema,
+    fn,
+    predicate=None,
     bounds: dict | None = None,
 ) -> ray.data.Dataset:
-    """Streaming read of a manifest's state. Copy-on-write partitions go
-    through the plain parquet reader (predicate pushed down to row groups);
-    merge-on-read partitions are resolved one task per partition — read
-    base + deltas, LWW-collapse, THEN filter (pre-merge filtering on a
-    non-key predicate could drop a delta winner and resurrect the base
-    loser, so correctness demands post-merge evaluation there)."""
-    full_b64 = man.schema_b64
-    out_b64 = mf.schema_to_b64(out_schema)
+    """The one full scan of a manifest's committed state: a Dataset of
+    ``fn(rows, part_ids)`` outputs, where ``rows`` is a block of resolved
+    rows conformed to ``read_schema`` (a projection of the manifest
+    schema) and ``part_ids`` an int64 array of each row's partition id.
+    Rules:
 
-    def conform_batch(t: pa.Table) -> pa.Table:
-        return conform(t, mf.schema_from_b64(out_b64))
+    - zone-map prune: with ``bounds``, partitions whose committed
+      ``col_stats`` prove no overlap are skipped before any file opens;
+    - delta-free partitions: one ``read_parquet`` over all their files
+      with the filter (``predicate`` AND the bounds) pushed into the
+      scan; its dataset schema null-fills and widens columns older files
+      lack, and the ids come from each row's ``part=K/`` path;
+    - delta stacks: one retried task per partition resolves base +
+      deltas (:func:`_load_state`), THEN filters — pre-merge filtering
+      on a non-key column could drop a delta winner and resurrect the
+      base loser;
+    - read schema: ``read_schema`` plus the bounds columns, so bounded
+      scans keep column pruning; an opaque ``predicate`` (its columns
+      are not introspectable) widens it to the full table schema.
+
+    ``fn`` runs inside the read or resolve task on both paths. A table
+    with a payload column named ``path`` (the read's path column) routes
+    every partition through the resolver."""
+    import pyarrow.dataset as pads
+
+    full = manifest.schema
+    if predicate is None:
+        need = set(read_schema.names) | set(bounds or ())
+        file_schema = pa.schema([f for f in full if f.name in need])
+    else:
+        file_schema = full
+    flt = _bounds_expr(bounds) if bounds else None
+    if predicate is not None:
+        flt = predicate if flt is None else predicate & flt
 
     plain: list[str] = []
-    mor: list[dict] = []
-    for p in sorted(man.partitions, key=int):
-        e = man.partitions[p]
+    stacks: list[dict] = []
+    for p in sorted(manifest.partitions, key=int):
+        e = manifest.partitions[p]
         rels = mf.entry_rels(e)
         if not rels:
             continue
         if bounds and not _stats_overlap(e.get("col_stats"), bounds):
             continue  # manifest zone maps prove no row can match
-        if e.get("deltas"):
-            mor.append({"files": rels})
+        if e.get("deltas") or "path" in full.names:
+            stacks.append({"part": int(p), "files": rels})
         else:
             plain.append(os.path.join(table_dir, e["file"]))
 
+    def read_block(t: pa.Table):
+        ids = pc.struct_field(pc.extract_regex(t["path"], r"part=(?P<p>\d+)/"), "p")
+        return fn(conform(t, read_schema),
+                  pc.cast(ids, pa.int64()).to_numpy(zero_copy_only=False))
+
+    # delta stacks also read what LWW resolution needs (key, order, op)
+    lww = set(file_schema.names) | {"doc_id", "lsn", "seq", "op"}
+    cols = None if predicate is not None else [n for n in full.names if n in lww]
+
+    def resolve(batch: pa.Table):
+        row = batch.to_pylist()[0]
+        t = _load_state(table_dir, row["files"], full, fs, columns=cols)
+        if flt is not None:
+            t = pads.dataset(t).to_table(filter=flt)
+        return fn(conform(t, read_schema),
+                  np.full(t.num_rows, row["part"], dtype=np.int64))
+
     pieces: list[ray.data.Dataset] = []
     if plain:
-        full_names = set(mf.schema_from_b64(full_b64).names)
-        project = set(out_schema.names) != full_names
-        if not project and predicate is None:
-            file_groups = {(None, True): plain}
-        else:
-            # projection pushdown: only the projected columns leave the
-            # scan. Files written before a schema evolution may lack some
-            # columns (Ray's reader cannot null-fill), so group files by
-            # which projected columns their footer has — one read per
-            # schema generation; conform null-fills the rest. The group
-            # also records footer COMPLETENESS: a pushed-down predicate may
-            # reference an evolved column some old files lack (its names
-            # aren't introspectable from a pyarrow expression), and pushing
-            # it into such a scan errors instead of null-excluding — those
-            # groups evaluate the predicate post-conform instead.
-            file_groups = {}
-            for f in plain:
-                have = set(fs.read_parquet_schema(f).names)
-                cols = (
-                    (tuple(n for n in out_schema.names if n in have) or None)
-                    if project else None
-                )
-                file_groups.setdefault((cols, have >= full_names), []).append(f)
-        for (cols, complete), files_g in file_groups.items():
-            if predicate is None or complete:
-                ds = ray.data.read_parquet(
-                    files_g, filesystem=fs.fs,
-                    **({} if cols is None else {"columns": list(cols)}),
-                    **({} if predicate is None else {"filter": predicate}),
-                )
-                pieces.append(
-                    ds.map_batches(conform_batch, batch_format="pyarrow"))
-            else:
-                # pre-evolution file generation + predicate: read what the
-                # file has, conform to the FULL schema (null-fills evolved
-                # columns), filter post-conform (NULL rows are excluded,
-                # the documented bounds semantics), then project
-                def late_filter(t: pa.Table, _pred=predicate) -> pa.Table:
-                    import pyarrow.dataset as pads
-
-                    t = conform(t, mf.schema_from_b64(full_b64))
-                    t = pads.dataset(t).to_table(filter=_pred)
-                    return conform(t, mf.schema_from_b64(out_b64))
-
-                ds = ray.data.read_parquet(files_g, filesystem=fs.fs)
-                pieces.append(
-                    ds.map_batches(late_filter, batch_format="pyarrow"))
-    if mor:
-        def resolve(batch: pa.Table) -> pa.Table:
-            import pyarrow.dataset as pads
-
-            schema = mf.schema_from_b64(full_b64)
-            proj = mf.schema_from_b64(out_b64)
-            # column pruning still applies under merge-on-read: read only
-            # the projected columns plus what LWW resolution needs (key +
-            # order + op). Predicate columns aren't introspectable
-            # portably, so a predicate forces a full-column read of the
-            # small merged slice (the filter then projects)
-            need = set(proj.names) | {"doc_id", "lsn", "seq", "op"}
-            cols = (None if predicate is not None
-                    else [n for n in schema.names if n in need])
-            out: list[pa.Table] = []
-            for row in batch.to_pylist():
-                t = _load_state(table_dir, row["files"], schema, fs, columns=cols)
-                if predicate is not None:
-                    t = pads.dataset(t).to_table(filter=predicate)
-                out.append(conform(t, proj))
-            return pa.concat_tables(out)
-
-        pieces.append(ray.data.from_items(mor).map_batches(
+        pieces.append(ray.data.read_parquet(
+            plain, filesystem=fs.fs, schema=file_schema, include_paths=True,
+            partitioning=None, **({} if flt is None else {"filter": flt}),
+        ).map_batches(read_block, batch_format="pyarrow"))
+    if stacks:
+        pieces.append(ray.data.from_items(stacks).map_batches(
             resolve, batch_size=1, batch_format="pyarrow",
             retry_exceptions=True, max_retries=4,
         ))
     if not pieces:
-        return ray.data.from_arrow(
-            pa.table({f.name: pa.array([], f.type) for f in out_schema}))
+        return ray.data.from_arrow(read_schema.empty_table())
     ds = pieces[0]
     for extra in pieces[1:]:
         ds = ds.union(extra)
@@ -1283,19 +1259,22 @@ def read_table(
     epoch: int | str | None = None,
 ) -> ray.data.Dataset:
     """The committed table as a streaming Dataset (conformed to the table
-    schema, since old partition files may predate a schema evolution).
-
-    ``predicate`` (a ``pyarrow.dataset`` expression, e.g.
-    ``pc.field("n_tok") >= 100``) is pushed into the parquet scan for
-    row-group pruning — partition files are written doc_id-sorted, so
-    key-range predicates skip whole row groups at the footer. On
-    merge-on-read partitions it is applied after delta resolution.
+    schema, since old partition files may predate a schema evolution),
+    read through :func:`scan_partitions`.
 
     ``bounds`` (``{col: (lo, hi)}``, either side None = unbounded, closed
-    interval) does the same AND adds manifest-level data skipping: whole
-    partitions whose committed payload zone maps (``col_stats``) prove no
-    overlap are dropped before any file is opened. Rows with NULL in a
-    bounded column are excluded (SQL comparison semantics).
+    interval) first prunes by the committed payload zone maps
+    (``col_stats``): whole partitions that provably hold no match are
+    dropped before any file is opened. Rows with NULL in a bounded column
+    are excluded (SQL comparison semantics).
+
+    ``predicate`` (a ``pyarrow.dataset`` expression, e.g.
+    ``pc.field("n_tok") >= 100``) and the bounds are pushed into the
+    parquet scan of delta-free partitions for row-group pruning —
+    partition files are written doc_id-sorted, so key-range predicates
+    skip whole row groups at the footer. On merge-on-read delta stacks
+    they filter after delta resolution. Only ``columns`` plus the bounds
+    columns are read; an opaque ``predicate`` reads every column.
 
     ``epoch`` (an int or a snapshot tag name) scans AS OF that retained
     manifest instead of the committed one, without moving ``_CURRENT``
@@ -1313,13 +1292,10 @@ def read_table(
                 f"cannot read as of epoch {epoch}: {len(missing)} file(s) vacuumed")
     if current is None or not current.partitions:
         return ray.data.from_arrow(pa.table({}))
-    out_schema = _project(current.schema, payload_only, columns)
-    if bounds:
-        expr = _bounds_expr(bounds)
-        if expr is not None:
-            predicate = expr if predicate is None else predicate & expr
-    return _manifest_dataset(table_dir, current, out_schema, predicate, fs,
-                             bounds=bounds)
+    return scan_partitions(table_dir, current, fs,
+                           _project(current.schema, payload_only, columns),
+                           lambda rows, part_ids: rows,
+                           predicate=predicate, bounds=bounds)
 
 
 def _resolve_manifest(

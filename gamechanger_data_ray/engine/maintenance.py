@@ -33,6 +33,7 @@ import shutil
 from dataclasses import replace
 
 from ..state import manifest as mf
+from ..state.fs import default_fs
 
 
 def restore(table_dir: str, epoch: int) -> mf.TableManifest:
@@ -133,8 +134,6 @@ def compact(table_dir: str, min_deltas: int = 1, fs=None) -> mf.TableManifest | 
     ``min_deltas`` pending deltas (and all copy-on-write partitions) are
     untouched. Returns the new manifest, or None if nothing to compact
     or a racing rewrite already superseded this revision."""
-    from ..state.fs import default_fs
-
     fs = default_fs(fs)
     current = mf.load_current(table_dir, fs)
     if current is None:
@@ -244,8 +243,6 @@ def cluster_table(
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from ..state.fs import default_fs
-
     by = [by] if isinstance(by, str) else list(by)
     if not by:
         raise ValueError("cluster_table needs at least one column")
@@ -315,7 +312,6 @@ def restamp_stats(table_dir: str, fs=None) -> mf.TableManifest | None:
     import pyarrow as pa
     import ray.data
 
-    from ..state.fs import default_fs
     from .cdc import _STATS_EXCLUDE, _load_state, _stats_fields, fold_entry
 
     fs = default_fs(fs)
@@ -396,8 +392,6 @@ def drop_column(table_dir: str, column: str, fs=None) -> mf.TableManifest:
     instead of a re-parse."""
     import pyarrow as pa
 
-    from ..state.fs import default_fs
-
     fs = default_fs(fs)
     current = mf.load_current(table_dir, fs)
     if current is None:
@@ -441,8 +435,6 @@ def retire_dropped(table_dir: str, column: str | None = None, fs=None) -> dict:
     the partitions → ``retire_dropped`` → the name is free again."""
     import pyarrow as pa
     import ray.data
-
-    from ..state.fs import default_fs
 
     fs = default_fs(fs)
     current = mf.load_current(table_dir, fs)
@@ -493,21 +485,11 @@ def list_tags(table_dir: str, fs=None) -> dict[str, int]:
     and data files through vacuum — the Iceberg tag idea for reproducible
     reads ("the corpus release we trained v3 on") on top of the retained
     manifest history."""
-    from ..state.fs import default_fs
-
     fs = default_fs(fs)
     p = os.path.join(table_dir, TAGS_FILE)
     if not fs.exists(p):
         return {}
     return {k: int(v) for k, v in json.loads(fs.read_text(p)).items()}
-
-
-def _write_tags(table_dir: str, tags: dict[str, int]) -> None:
-    p = os.path.join(table_dir, TAGS_FILE)
-    tmp = p + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(tags, f, sort_keys=True)
-    os.replace(tmp, p)  # atomic: readers see old or new tag set, never half
 
 
 def tag(table_dir: str, name: str, epoch: int | None = None) -> dict[str, int]:
@@ -534,7 +516,8 @@ def tag(table_dir: str, name: str, epoch: int | None = None) -> dict[str, int]:
         raise ValueError(f"epoch {e} has no retained manifest (have {retained})")
     tags = list_tags(table_dir)
     tags[name] = e
-    _write_tags(table_dir, tags)
+    default_fs(None).atomic_write_text(
+        os.path.join(table_dir, TAGS_FILE), json.dumps(tags, sort_keys=True))
     return tags
 
 
@@ -543,7 +526,8 @@ def untag(table_dir: str, name: str) -> dict[str, int]:
     if name not in tags:
         raise KeyError(f"no tag {name!r} (have {sorted(tags)})")
     del tags[name]
-    _write_tags(table_dir, tags)
+    default_fs(None).atomic_write_text(
+        os.path.join(table_dir, TAGS_FILE), json.dumps(tags, sort_keys=True))
     return tags
 
 
@@ -750,9 +734,11 @@ def validate_table(table_dir: str) -> dict:
     """Distributed schema + row-invariant validation of the committed
     snapshot — the reference's ``--verify`` JSON-schema gate
     (``common/document_parser/cli.py:75-81`` + ``validators/``) as a
-    counting pass: every manifest-referenced file is read, conformed to
-    the manifest schema (schema drift in old files surfaces here), and
-    the row invariants are counted vectorized per partition:
+    counting pass over :func:`cdc.scan_partitions`: every committed
+    partition is read, conformed to the manifest schema (schema drift in
+    old files surfaces here) and, on delta stacks, LWW-resolved in one
+    retried task per partition; delta-free partitions share one parquet
+    read. The row invariants are counted vectorized per partition:
 
     - ``len(tokens) == n_tok`` for payload rows
     - ``doc_id`` non-null and non-empty
@@ -769,7 +755,7 @@ def validate_table(table_dir: str) -> dict:
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from ..state.fs import default_fs
+    from .cdc import scan_partitions
 
     fs = default_fs(None)
     current = mf.load_current(table_dir, fs)
@@ -780,7 +766,8 @@ def validate_table(table_dir: str) -> dict:
     stats_map = {int(p): (e.get("col_stats") or {})
                  for p, e in current.partitions.items()}
 
-    def check(t: pa.Table, part: pd.Series) -> pd.DataFrame:
+    def check(t: pa.Table, part_ids) -> pd.DataFrame:
+        part = pd.Series(part_ids)
         ntok = pc.list_value_length(t["tokens"]).to_pandas().astype("float")
         n_tok_col = t["n_tok"].to_pandas().astype("float")
         doc = t["doc_id"].to_pandas()
@@ -820,8 +807,9 @@ def validate_table(table_dir: str) -> dict:
         )
         return viol.groupby("part", as_index=False).sum()
 
-    partials = _scan_resolved(table_dir, current, fs, check)
-    if partials is None:
+    partials = scan_partitions(
+        table_dir, current, fs, current.schema, check).to_pandas()
+    if partials.empty:
         return {"rows": 0, "violations": {}, "by_partition": {}}
     agg = partials.groupby("part").sum()
     viol_cols = [c for c in agg.columns if c != "rows"]
@@ -835,65 +823,6 @@ def validate_table(table_dir: str) -> dict:
             if any(r[k] for k in viol_cols)
         },
     }
-
-
-def _scan_resolved(table_dir: str, current: mf.TableManifest, fs, check):
-    """Stream every committed partition — conformed to the manifest schema
-    and LWW-resolved for merge-on-read partitions (delta files hold raw
-    tombstone/superseded rows) — through ``check(table, part_series)``,
-    a per-block reducer returning a small DataFrame. Copy-on-write
-    partitions go through the plain parallel parquet reader; MOR
-    partitions resolve base+deltas inside one task each. Returns the
-    concatenated partials (driver sees O(P) rows), or None if the table
-    holds no files."""
-    import re
-
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-
-    from ..core.reconcile import conform
-    from ..state.fs import default_fs
-
-    fs = default_fs(fs)
-    b64 = mf.schema_to_b64(current.schema)
-    part_re = re.compile(r"part=(\d+)/")
-
-    plain_files, mor_work = [], []
-    for p, e in current.partitions.items():
-        if e.get("deltas"):
-            mor_work.append({"part": int(p), "files": mf.entry_rels(e)})
-        elif e.get("file"):
-            plain_files.append(os.path.join(table_dir, e["file"]))
-
-    def check_plain(t: pa.Table) -> pd.DataFrame:
-        paths = t["path"].to_pylist()
-        part = pd.Series([int(part_re.search(p).group(1)) for p in paths])
-        return check(conform(t.drop_columns(["path"]), mf.schema_from_b64(b64)), part)
-
-    pieces = []
-    if plain_files:
-        ds = ray.data.read_parquet(plain_files, filesystem=fs.fs, include_paths=True)
-        pieces.append(ds.map_batches(check_plain, batch_format="pyarrow"))
-    if mor_work:
-        from .cdc import _load_state
-
-        def resolve(batch: pa.Table) -> pd.DataFrame:
-            schema = mf.schema_from_b64(b64)
-            outs = []
-            for row in batch.to_pylist():
-                t = _load_state(table_dir, row["files"], schema, fs)
-                outs.append(check(t, pd.Series([int(row["part"])] * t.num_rows)))
-            return pd.concat(outs, ignore_index=True)
-
-        pieces.append(ray.data.from_items(mor_work).map_batches(
-            resolve, batch_size=1, batch_format="pyarrow"))
-    if not pieces:
-        return None
-    ds = pieces[0]
-    for extra in pieces[1:]:
-        ds = ds.union(extra)
-    return ds.to_pandas()
 
 
 _DIGEST_BYTES = 32
@@ -921,9 +850,7 @@ def table_checksums(table_dir: str, fs=None, epoch=None) -> dict:
     import pandas as pd
     import pyarrow as pa
 
-    from ..state.fs import default_fs
-
-    from .cdc import _resolve_manifest
+    from .cdc import _resolve_manifest, scan_partitions
 
     fs = default_fs(fs)
     # epoch: None = committed; int/tag = as-of a retained manifest — so a
@@ -934,7 +861,7 @@ def table_checksums(table_dir: str, fs=None, epoch=None) -> dict:
     if current is None or not current.partitions:
         return {"rows": 0, "digest": zero.hex(), "by_partition": {}}
 
-    def digest_rows(t: pa.Table, part: pd.Series) -> pd.DataFrame:
+    def digest_rows(t: pa.Table, part_ids) -> pd.DataFrame:
         t = t.combine_chunks()
         n = t.num_rows
         if n == 0:
@@ -978,7 +905,7 @@ def table_checksums(table_dir: str, fs=None, epoch=None) -> dict:
             ),
             dtype=np.uint8,
         ).reshape(n, _DIGEST_BYTES)
-        out = pd.DataFrame({"part": part.to_numpy(), "rows": 1})
+        out = pd.DataFrame({"part": part_ids, "rows": 1})
         folded = (
             pd.DataFrame(digests)
             .groupby(out["part"].to_numpy())
@@ -992,8 +919,9 @@ def table_checksums(table_dir: str, fs=None, epoch=None) -> dict:
                        for r in folded.to_numpy()],
         })
 
-    partials = _scan_resolved(table_dir, current, fs, digest_rows)
-    if partials is None or partials.empty:
+    partials = scan_partitions(
+        table_dir, current, fs, current.schema, digest_rows).to_pandas()
+    if partials.empty:
         return {"rows": 0, "digest": zero.hex(), "by_partition": {}}
 
     def fold_hex(hexes) -> str:
@@ -1035,8 +963,6 @@ def repair_from_replica(table_dir: str, replica_dir: str, fs=None) -> dict:
     Direction is explicit: ``replica_dir`` is the source of truth. Run
     twice with swapped arguments for mutual convergence only when an
     external quorum says both sides hold good partitions."""
-    from ..state.fs import default_fs
-
     fs = default_fs(fs)
     mine_m = mf.load_current(table_dir, fs)
     theirs_m = mf.load_current(replica_dir, fs)
@@ -1150,7 +1076,6 @@ def backfill(
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from ..state.fs import default_fs
     from .cdc import apply_events_dataset, read_table
     from .subscriptions import sync
 
@@ -1248,7 +1173,6 @@ def delete_where(
     import numpy as np
     import pyarrow as pa
 
-    from ..state.fs import default_fs
     from .cdc import apply_events_dataset, read_table
     from .subscriptions import sync
 
@@ -1328,10 +1252,8 @@ def set_ttl_policy(table_dir: str, column: str, keep: int) -> dict:
             os.remove(path)
         return {"policy": None}
     os.makedirs(table_dir, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        _json.dump({"column": column, "keep": int(keep)}, f)
-    os.replace(tmp, path)
+    default_fs(None).atomic_write_text(
+        path, _json.dumps({"column": column, "keep": int(keep)}))
     return {"policy": {"column": column, "keep": int(keep)}}
 
 

@@ -90,3 +90,33 @@ def test_transient_failure_converges_delta_policy(tmp_path):
     assert m is not None
     assert len(os.listdir(marker_dir)) > 0
     assert table_to_arrow(faulty).equals(table_to_arrow(clean))
+
+
+def test_scan_retries_flaky_storage_reads(tmp_path):
+    """A full scan over copy-on-write partitions and delta stacks retries a
+    transient storage read failure (first read per worker process) and
+    converges to the clean scan's digests."""
+    from gamechanger_data_ray.engine.cdc import apply_epochs
+    from gamechanger_data_ray.engine.maintenance import table_checksums
+    from gamechanger_data_ray.state.fs import StorageAdapter
+
+    cd, tb = str(tmp_path / "cl"), str(tmp_path / "tb")
+    write_changelog(cd, num_epochs=2, events_per_epoch=500, num_keys=120)
+    apply_epochs(cd, tb, [1], num_partitions=4)
+    apply_epochs(cd, tb, [2], num_partitions=4, merge_policy="delta")
+
+    marker_dir = str(tmp_path / "markers")
+    os.makedirs(marker_dir)
+
+    class FlakyReads(StorageAdapter):
+        def read_parquet(self, path, columns=None):
+            marker = os.path.join(marker_dir, f"pid-{os.getpid()}")
+            if not os.path.exists(marker):
+                with open(marker, "w") as f:
+                    f.write("failed once")
+                raise OSError("injected transient read failure")
+            return StorageAdapter.read_parquet(self, path, columns)
+
+    clean = table_checksums(tb)
+    assert table_checksums(tb, fs=FlakyReads()) == clean
+    assert len(os.listdir(marker_dir)) > 0  # failures really were injected

@@ -196,7 +196,10 @@ def test_wap_publish_audit_schema(ray_session, tmp_path):
                          2, bad.schema, num_partitions=4)
     with pytest.raises(RuntimeError) as err:
         branch_publish(tb, "bad", audit_schema=TOKENS_TABLE_SCHEMA)
-    assert "declared-schema audit" in str(err.value)
+    # the refusal names the violated field and how many rows failed
+    msg = str(err.value)
+    assert "declared-schema audit" in msg
+    assert "tokens" in msg and "5 row(s)" in msg
     branch_discard(tb, "bad")
 
     # clean branch publishes through the same audit
