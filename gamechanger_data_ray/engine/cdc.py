@@ -6,12 +6,12 @@ Pipeline per epoch batch (all streaming, zero-copy Arrow batches):
       → map_batches(normalize)        # conform to unified schema, partial
                                       # LWW reduce (combiner), add part col
       → EXCHANGE on hash(doc_id)%P    # the engine's ONE shuffle (staged)
-      → merge per partition           # partition-local: read current state
-                                      # file, LWW merge, write deterministic
-                                      # data-eEEEEEE.parquet, emit one
+      → merge per partition           # one plain task each: read current
+                                      # state, LWW merge, write deterministic
+                                      # data-eEEEEEE.parquet, return one
                                       # entry row (partition_entry)
-      → (tiny entry-row dataset)      # driver folds rows into the manifest
-                                      # (fold_entry) and commits atomically
+      → driver fold                   # rows fold into the manifest
+                                      # (fold_entry), committed atomically
 
 The exchange is staged: the combiner output is written as per-partition
 Parquet to an ephemeral staging dir, then P merge tasks each read exactly
@@ -31,7 +31,7 @@ Scale properties:
   manifest carry-forward);
 - state is read inside the merge task (partition-local I/O), never
   broadcast or materialized on the driver;
-- the counters dataset is O(P) rows — the only thing the driver collects.
+- the entry rows are O(touched P) — the only thing the driver collects.
 
 Reference lifecycle analog: ``gci pipelines core ingest checkpoint``
 (``dataPipelines/gc_ingest/pipelines/core/cli.py:77-120``): tail
@@ -70,6 +70,7 @@ from ..core.reconcile import (
 )
 from ..state import manifest as mf
 from ..state.fs import StorageAdapter, default_fs
+from .tasks import run_tasks
 from .telemetry import merge_sketch_json, sketch_stats_json
 
 PART_COLUMN = "_part"
@@ -247,8 +248,8 @@ def _write_bloom_sidecar(merged: pa.Table, base_abs: str, fs: StorageAdapter) ->
 
 
 def _stats_fields(rows: pa.Table) -> dict:
-    """Payload zone maps + KLL sketches of ``rows``, JSON-encoded so they
-    ride the one-row entry table back through the exchange."""
+    """Payload zone maps + KLL sketches of ``rows``, JSON-encoded strings
+    in the entry row a plain task per partition returns to the driver."""
     return {"col_stats": _col_stats_json(rows), "col_sketch": sketch_stats_json(rows)}
 
 
@@ -275,16 +276,6 @@ def partition_entry(
     fs.write_parquet_atomic(merged, out_abs, row_group_size=row_group_size)
     _write_bloom_sidecar(merged, out_abs, fs)
     return {"file": rel, "delta": "", **_state_fields(merged), **_stats_fields(merged)}
-
-
-# one merge task's output row: the partition's entry plus its lineage
-# counters — the only data the driver collects from an epoch
-_ENTRY_ROW_SCHEMA = pa.schema(
-    [("part", pa.int64()), ("file", pa.string()), ("delta", pa.string()),
-     ("rows", pa.int64()), ("key_min", pa.string()), ("key_max", pa.string()),
-     ("content_sig", pa.string()), ("col_stats", pa.string()),
-     ("col_sketch", pa.string()), ("cell_writes", pa.string())]
-    + [(k, pa.int64()) for k in COUNTER_KEYS])
 
 
 def fold_entry(prev: dict | None, entry: dict) -> dict:
@@ -352,7 +343,8 @@ def _merge_one_partition(
     update_mode: str = "replace",
 ) -> dict:
     """Apply one partition's combined events under the given merge policy;
-    returns its entry row (see ``_ENTRY_ROW_SCHEMA``).
+    returns its entry row: ``part``, the :func:`fold_entry` fields and the
+    lineage counters (``COUNTER_KEYS`` plus ``cell_writes``, JSON).
 
     ``rewrite`` (copy-on-write): read full state (resolving any pending
     deltas — so a rewrite epoch doubles as compaction), LWW-merge, write
@@ -441,35 +433,28 @@ def make_staged_merger(
     fs: StorageAdapter | None = None,
     update_mode: str = "replace",
 ):
-    """Merge task for the staged exchange: each input row names one
-    partition; the task reads that partition's staged files (already
+    """Merge task for the staged exchange, one plain task per touched
+    partition (see :func:`~.tasks.run_tasks`): the item ``{"part": K}``
+    names the partition; the task reads its staged files (already
     conformed + weight-carrying) plus its current state (base + pending
-    deltas), merges under the given policy, and writes the deterministic
-    output file; returns one entry row per merged partition. All I/O
-    routes through the StorageAdapter (picklable; carried into the task
-    closure) so the merge runs against any pyarrow filesystem;
-    publication is atomic-rename on POSIX, atomic-PUT on object stores —
-    concurrent/stale attempts write byte-identical content either way."""
+    deltas), merges under the given policy, writes the deterministic
+    output file and returns the partition's entry row (see
+    :func:`_merge_one_partition`). All I/O routes through the
+    StorageAdapter (picklable; carried into the task closure) so the
+    merge runs against any pyarrow filesystem; publication is
+    atomic-rename on POSIX, atomic-PUT on object stores — concurrent/stale
+    attempts write byte-identical content either way."""
     fs = default_fs(fs)
 
-    def merge_staged(batch: pa.Table) -> pa.Table:
-        schema = mf.schema_from_b64(unified_b64)
-        out_rows: list[dict] = []
-        for part in batch["part"].to_pylist():
-            part = int(part)
-            staged = fs.list_files(
-                os.path.join(staging_dir, f"{PART_COLUMN}={part}"), suffix=".parquet"
-            )
-            if not staged:
-                continue
-            events = pa.concat_tables(
-                [fs.read_parquet(f) for f in staged], promote_options="default"
-            )
-            out_rows.append(_merge_one_partition(
-                part, events, state_files.get(part, []), table_dir, epoch,
-                schema, policy, fs, update_mode,
-            ))
-        return pa.Table.from_pylist(out_rows, schema=_ENTRY_ROW_SCHEMA)
+    def merge_staged(item: dict) -> dict:
+        part = item["part"]
+        staged = fs.list_files(
+            os.path.join(staging_dir, f"{PART_COLUMN}={part}"), suffix=".parquet")
+        events = pa.concat_tables(
+            [fs.read_parquet(f) for f in staged], promote_options="default")
+        return _merge_one_partition(
+            part, events, state_files.get(part, []), table_dir, epoch,
+            mf.schema_from_b64(unified_b64), policy, fs, update_mode)
 
     return merge_staged
 
@@ -482,50 +467,47 @@ def make_file_stager(
     renames: dict[str, str] | None = None,
     update_mode: str = "replace",
 ):
-    """Fused map-side shuffle write, one task per CHANGELOG FILE: read →
-    conform → weighted LWW combine → hash-partition → write one staged
-    parquet per touched partition, all inside the task. Nothing but a
-    tiny (file, part) manifest row ever enters the object store — the
-    payload goes disk→CPU→disk with ZERO plasma hops, where the generic
-    Dataset path pays two (read-task put + write-task get). Staged names
-    are deterministic per (input file, part), so a retried task
-    overwrites its own output byte-identically (idempotent).
+    """Fused map-side shuffle write, one plain task per CHANGELOG FILE
+    (see :func:`~.tasks.run_tasks`): read → conform → weighted LWW
+    combine → hash-partition → write one staged parquet per touched
+    partition, all inside the task, which returns ``{"parts": [...]}``,
+    the partitions it staged. The payload goes disk→CPU→disk with ZERO
+    plasma hops, where the generic Dataset path pays two (read-task put +
+    write-task get). Staged names are deterministic per (input file,
+    part), so a retried task overwrites its own output byte-identically
+    (idempotent).
 
     This is also the better combiner: the unit of combination is a whole
     changelog file rather than a read block, so hot keys collapse over a
     larger window before the exchange."""
     fs = default_fs(fs)
 
-    def stage_file(batch: pa.Table) -> pa.Table:
+    def stage_file(item: dict) -> dict:
+        path = item["path"]
         schema = mf.schema_from_b64(unified_b64)
-        out_files, out_parts = [], []
-        for path in batch["path"].to_pylist():
-            t = conform(rename_table(fs.read_parquet(path), renames), schema)
-            t = _combine(t, update_mode)
-            part = pc.cast(partition_ids(t["doc_id"], num_partitions), pa.int32())
-            order = pc.sort_indices(part)
-            t = t.take(order)
-            pvals = part.take(order).to_numpy(zero_copy_only=False)
-            # contiguous runs per partition → one slice + one write each
-            bounds = np.flatnonzero(np.diff(pvals)) + 1
-            starts = np.concatenate(([0], bounds))
-            ends = np.concatenate((bounds, [len(pvals)]))
-            stem = os.path.splitext(os.path.basename(path))[0]
-            parent = os.path.basename(os.path.dirname(path))  # epoch=NNNNNN
-            for s0, e0 in zip(starts, ends):
-                if e0 == s0:
-                    continue
-                k = int(pvals[s0])
-                d = os.path.join(staging_dir, f"{PART_COLUMN}={k}")
-                fs.makedirs(d)
-                out = os.path.join(d, f"{parent}-{stem}.parquet")
-                fs.write_parquet_atomic(t.slice(s0, e0 - s0), out)
-                out_files.append(out)
-                out_parts.append(k)
-        return pa.table(
-            {"part": pa.array(out_parts, pa.int64()),
-             "staged": pa.array(out_files, pa.string())}
-        )
+        t = conform(rename_table(fs.read_parquet(path), renames), schema)
+        t = _combine(t, update_mode)
+        part = pc.cast(partition_ids(t["doc_id"], num_partitions), pa.int32())
+        order = pc.sort_indices(part)
+        t = t.take(order)
+        pvals = part.take(order).to_numpy(zero_copy_only=False)
+        # contiguous runs per partition → one slice + one write each
+        bounds = np.flatnonzero(np.diff(pvals)) + 1
+        starts = np.concatenate(([0], bounds))
+        ends = np.concatenate((bounds, [len(pvals)]))
+        stem = os.path.splitext(os.path.basename(path))[0]
+        parent = os.path.basename(os.path.dirname(path))  # epoch=NNNNNN
+        parts = []
+        for s0, e0 in zip(starts, ends):
+            if e0 == s0:
+                continue
+            k = int(pvals[s0])
+            d = os.path.join(staging_dir, f"{PART_COLUMN}={k}")
+            fs.makedirs(d)
+            fs.write_parquet_atomic(t.slice(s0, e0 - s0),
+                                    os.path.join(d, f"{parent}-{stem}.parquet"))
+            parts.append(k)
+        return {"parts": parts}
 
     return stage_file
 
@@ -681,10 +663,6 @@ def apply_events_dataset(
     state_files = ({int(k): mf.entry_rels(v) for k, v in current.partitions.items()}
                    if current is not None else {})
 
-    # retry_exceptions: normalize/merge are pure + the sink is idempotent
-    # (deterministic file names), so retrying a task that died on a
-    # transient error (flaky storage read, OOM-killed worker) is safe
-    _retry = {"retry_exceptions": True, "max_retries": 4}
     # attempt-unique staging dir: two live drivers racing the same epoch
     # must not stage into (or wipe) each other's files — each attempt
     # merges from its own staging; crashed-attempt debris is swept by
@@ -698,24 +676,19 @@ def apply_events_dataset(
     fs.rmtree(staging)  # (fresh name — a no-op guard)
     _t_stage = _time_mod.perf_counter()
     if isinstance(events_ds, (list, tuple)):
-        stage_rows = (
-            ray.data.from_items([{"path": p} for p in events_ds])
-            .map_batches(
-                make_file_stager(staging, unified_b64, num_partitions, fs=fs,
-                                 renames=renames, update_mode=update_mode),
-                batch_size=1,
-                batch_format="pyarrow",
-                **_retry,
-            )
-            .take_all()
-        )  # O(files × touched-parts) tiny manifest rows
-        touched = sorted({int(r["part"]) for r in stage_rows})
+        stage_rows = run_tasks(
+            make_file_stager(staging, unified_b64, num_partitions, fs=fs,
+                             renames=renames, update_mode=update_mode),
+            [{"path": p} for p in events_ds])
+        touched = sorted({p for r in stage_rows for p in r["parts"]})
     else:
         events_ds.map_batches(
             make_normalizer(unified_b64, num_partitions, renames=renames,
                             update_mode=update_mode),
             batch_format="pyarrow",
-            **_retry,
+            # normalize is pure and the sink idempotent: a retry is safe
+            retry_exceptions=True,
+            max_retries=4,
         ).write_parquet(staging, partition_cols=[PART_COLUMN], filesystem=fs.fs)
         touched = sorted(
             int(d.split("=", 1)[1])
@@ -723,19 +696,10 @@ def apply_events_dataset(
             if d.startswith(PART_COLUMN + "=")
         )
     _t_merge = _time_mod.perf_counter()
-    if touched:
-        counter_rows = ray.data.from_items(
-            [{"part": p} for p in touched]
-        ).map_batches(
-            make_staged_merger(table_dir, staging, epoch, unified_b64, state_files,
-                               policy=merge_policy, fs=fs,
-                               update_mode=update_mode),
-            batch_size=1,
-            batch_format="pyarrow",
-            **_retry,
-        ).take_all()  # O(num_partitions) rows — tiny
-    else:
-        counter_rows = []  # empty epoch: nothing merged, manifest still advances
+    counter_rows = run_tasks(
+        make_staged_merger(table_dir, staging, epoch, unified_b64, state_files,
+                           policy=merge_policy, fs=fs, update_mode=update_mode),
+        [{"part": p} for p in touched])  # empty epoch: no task, manifest still advances
     fs.rmtree(staging)
     _t_done = _time_mod.perf_counter()
 
@@ -1325,13 +1289,19 @@ def routed_partition_files(
     from one tiny read, so lookups of missing keys touch no parquet at
     all. Both prunes are advisory — a missing sidecar or empty zone map
     just means no shortcut."""
-    from ..core.bloom import BloomFilter
-    from ..core.hashing import fnv1a64
-
     fs = default_fs(fs)
     current = _resolve_manifest(table_dir, epoch, fs)
     if current is None or not current.partitions:
         return []
+    return _route_files(table_dir, current, keys, fs)
+
+
+def _route_files(table_dir: str, current: mf.TableManifest, keys: list,
+                 fs: StorageAdapter) -> list[str]:
+    """:func:`routed_partition_files` over an already-loaded manifest."""
+    from ..core.bloom import BloomFilter
+    from ..core.hashing import fnv1a64
+
     npart = current.num_partitions or max(
         (int(p) for p in current.partitions), default=0) + 1
     by_pid: dict[int, list] = {}
@@ -1394,7 +1364,7 @@ def read_keys(
     current = _resolve_manifest(table_dir, epoch, fs)
     if current is None or not current.partitions:
         return pa.table({})
-    files = routed_partition_files(table_dir, keys, fs, epoch=epoch)
+    files = _route_files(table_dir, current, keys, fs)
     schema = current.schema
     if not files:
         return conform(pa.table({}), schema).slice(0, 0)

@@ -44,6 +44,7 @@ from ..core.schemas import KEY_COLUMN
 from ..state import manifest as mf
 from ..state.fs import StorageAdapter, default_fs
 from .cdc import _load_state
+from .tasks import run_tasks
 
 _PA_JOIN_TYPE = {"inner": "inner", "left_outer": "left outer"}
 
@@ -93,54 +94,40 @@ def _make_partition_joiner(
     overlap = [c for c in lschema.names
                if c in set(rschema.names) and c != on and c != "op"]
 
-    def join_part(batch: pa.Table) -> pa.Table:
+    def join_part(item: dict) -> dict:
         import numpy as np
 
-        rows_out = []
-        for item in batch.to_pylist():
-            part = int(item["part"])
-            lt = _prep_side(
-                _load_state(left_dir, list(item["left_rels"]), lschema, fs),
-                lschema, overlap, suffixes[0],
-            )
-            rt = _prep_side(
-                _load_state(right_dir, list(item["right_rels"]), rschema, fs),
-                rschema, overlap, suffixes[1],
-            )
-            # Acero can't join tables with nested non-key columns (the
-            # tokens payload is list<int32>) — join key + row-index
-            # projections instead, then take() the payloads through the
-            # matched index pairs (null right index on an outer miss
-            # takes as null, which is exactly the outer-join fill).
-            li = pa.table({on: lt[on],
-                           "__li": np.arange(lt.num_rows, dtype=np.int64)})
-            ri = pa.table({on: rt[on],
-                           "__ri": np.arange(rt.num_rows, dtype=np.int64)})
-            idx = li.join(ri, keys=on, join_type=_PA_JOIN_TYPE[how])
-            if idx.num_rows:
-                idx = idx.take(pc.sort_indices(
-                    idx, sort_keys=[(on, "ascending"), ("__li", "ascending"),
-                                    ("__ri", "ascending")]))
-            cols: dict[str, Any] = {}
-            for name in lt.schema.names:
-                cols[name] = (idx[on] if name == on
-                              else pc.take(lt[name], idx["__li"]))
-            for name in rt.schema.names:
-                if name != on:
-                    cols[name] = pc.take(rt[name], idx["__ri"])
-            joined = pa.table(cols)
-            rel = os.path.join(f"part={part:05d}", f"join-e{epoch:06d}.parquet")
+        part = item["part"]
+        lt = _prep_side(_load_state(left_dir, item["left_rels"], lschema, fs),
+                        lschema, overlap, suffixes[0])
+        rt = _prep_side(_load_state(right_dir, item["right_rels"], rschema, fs),
+                        rschema, overlap, suffixes[1])
+        # Acero can't join tables with nested non-key columns (the
+        # tokens payload is list<int32>) — join key + row-index
+        # projections instead, then take() the payloads through the
+        # matched index pairs (null right index on an outer miss
+        # takes as null, which is exactly the outer-join fill).
+        li = pa.table({on: lt[on], "__li": np.arange(lt.num_rows, dtype=np.int64)})
+        ri = pa.table({on: rt[on], "__ri": np.arange(rt.num_rows, dtype=np.int64)})
+        idx = li.join(ri, keys=on, join_type=_PA_JOIN_TYPE[how])
+        if idx.num_rows:
+            idx = idx.take(pc.sort_indices(
+                idx, sort_keys=[(on, "ascending"), ("__li", "ascending"),
+                                ("__ri", "ascending")]))
+        cols: dict[str, Any] = {}
+        for name in lt.schema.names:
+            cols[name] = idx[on] if name == on else pc.take(lt[name], idx["__li"])
+        for name in rt.schema.names:
+            if name != on:
+                cols[name] = pc.take(rt[name], idx["__ri"])
+        joined = pa.table(cols)
+        rel = os.path.join(f"part={part:05d}", f"join-e{epoch:06d}.parquet")
+        if joined.num_rows:
             out_abs = os.path.join(view_dir, rel)
-            if joined.num_rows:
-                fs.makedirs(os.path.dirname(out_abs))
-                fs.write_parquet_atomic(joined, out_abs)
-            rows_out.append({"part": part, "file": rel if joined.num_rows else "",
-                             "rows": joined.num_rows, "src_sig": item["src_sig"]})
-        return pa.Table.from_pylist(
-            rows_out,
-            schema=pa.schema([("part", pa.int64()), ("file", pa.string()),
-                              ("rows", pa.int64()), ("src_sig", pa.string())]),
-        )
+            fs.makedirs(os.path.dirname(out_abs))
+            fs.write_parquet_atomic(joined, out_abs)
+        return {"part": part, "file": rel if joined.num_rows else "",
+                "rows": joined.num_rows, "src_sig": item["src_sig"]}
 
     return join_part
 
@@ -215,22 +202,11 @@ def refresh_join(
             "src_sig": src_sig,
         })
 
-    counters: list[dict] = []
-    if work:
-        counters = (
-            ray.data.from_items(work)
-            .map_batches(
-                _make_partition_joiner(
-                    view_dir, left_dir, right_dir,
-                    left.schema_b64, right.schema_b64,
-                    on, how, suffixes, epoch, fs,
-                ),
-                batch_format="pyarrow",
-                retry_exceptions=True,
-                max_retries=4,
-            )
-            .take_all()  # O(changed partitions) rows — tiny
-        )
+    counters = run_tasks(
+        _make_partition_joiner(view_dir, left_dir, right_dir,
+                               left.schema_b64, right.schema_b64,
+                               on, how, suffixes, epoch, fs),
+        work)  # O(changed partitions) rows — tiny
 
     partitions = dict(carry)
     for row in counters:

@@ -70,8 +70,8 @@ def _rewrite_partitions(
     (compact, cluster, repair): per-partition resolve (base + merge-on-read
     deltas) → optional ``transform`` → ``cdc.partition_entry`` (atomic
     write, bloom sidecar, exact zone maps) → ``cdc.fold_entry`` into a
-    same-epoch ``rev+1`` manifest under the commit fence. One Ray task per
-    partition; O(P) driver rows.
+    same-epoch ``rev+1`` manifest under the commit fence. One plain Ray
+    task per partition (``tasks.run_tasks``); O(P) driver rows.
 
     ``file_tag`` discriminates the output filename per operation
     (``data-e{epoch}r{rev}{tag}.parquet``): retries of the SAME
@@ -83,36 +83,27 @@ def _rewrite_partitions(
     ``source_dir`` reads each work item's files from ANOTHER table's
     directory (anti-entropy repair pulls healthy partitions from a
     replica) while the rewrite still commits into ``table_dir``."""
-    import pyarrow as pa
-    import ray.data
-
     from .cdc import _load_state, fold_entry, partition_entry
+    from .tasks import run_tasks
 
-    b64 = current.schema_b64
+    schema = current.schema
     new_rev = current.rev + 1
     epoch = current.epoch
     read_dir = source_dir or table_dir
 
-    def rewrite_one(batch: pa.Table) -> pa.Table:
-        schema = mf.schema_from_b64(b64)
-        rows = []
-        for row in batch.to_pylist():
-            merged = _load_state(read_dir, row["files"], schema, fs,
-                                 sort_by_key=sort_collapsed)
-            if transform is not None and merged.num_rows:
-                merged = transform(merged)
-            out_rel = os.path.join(
-                f"part={int(row['part']):05d}",
-                f"data-e{epoch:06d}r{new_rev:03d}{file_tag}.parquet",
-            )
-            rows.append({"part": int(row["part"]), **partition_entry(
-                merged, table_dir, out_rel, fs, row_group_size=row_group_rows)})
-        return pa.Table.from_pylist(rows)
+    def rewrite_one(item: dict) -> dict:
+        merged = _load_state(read_dir, item["files"], schema, fs,
+                             sort_by_key=sort_collapsed)
+        if transform is not None and merged.num_rows:
+            merged = transform(merged)
+        out_rel = os.path.join(
+            f"part={item['part']:05d}",
+            f"data-e{epoch:06d}r{new_rev:03d}{file_tag}.parquet",
+        )
+        return {"part": item["part"], **partition_entry(
+            merged, table_dir, out_rel, fs, row_group_size=row_group_rows)}
 
-    results = ray.data.from_items(work).map_batches(
-        rewrite_one, batch_size=1, batch_format="pyarrow",
-        retry_exceptions=True, max_retries=4,
-    ).take_all()
+    results = run_tasks(rewrite_one, work)
 
     partitions = dict(current.partitions)
     for r in results:
@@ -304,21 +295,21 @@ def restamp_stats(table_dir: str, fs=None) -> mf.TableManifest | None:
     corruption ``validate`` flags as ``zone_map_oob``, backfill
     ``col_stats`` on tables committed before payload zone maps existed,
     and tighten the soundly-wide bounds merge-on-read delta commits
-    accumulate without paying for a compaction. One Ray task per
-    partition, projected to nothing (stats need every scalar column, but
-    list payloads — the wide ``tokens`` column — are never read: the
-    parquet scan projects them out). Returns the committed manifest, or
-    None if there is nothing committed or a racing rewrite fenced it."""
+    accumulate without paying for a compaction. One plain Ray task per
+    partition (``tasks.run_tasks``), projected to the scalar columns
+    (stats need every scalar column, but list payloads — the wide
+    ``tokens`` column — are never read: the parquet scan projects them
+    out). Returns the committed manifest, or None if there is nothing
+    committed or a racing rewrite fenced it."""
     import pyarrow as pa
-    import ray.data
 
     from .cdc import _STATS_EXCLUDE, _load_state, _stats_fields, fold_entry
+    from .tasks import run_tasks
 
     fs = default_fs(fs)
     current = mf.load_current(table_dir, fs)
     if current is None or not current.partitions:
         return None
-    b64 = current.schema_b64
     # scalar payload columns + what LWW resolution needs — the wide list
     # payload never leaves the parquet footer
     schema = current.schema
@@ -327,22 +318,15 @@ def restamp_stats(table_dir: str, fs=None) -> mf.TableManifest | None:
     read_cols = sorted({"op", "lsn", "seq", "doc_id", *stat_cols}
                        & set(schema.names))
 
-    def stats_one(batch: pa.Table) -> pa.Table:
-        schema_w = mf.schema_from_b64(b64)
-        rows = []
-        for row in batch.to_pylist():
-            state = _load_state(table_dir, row["files"], schema_w, fs, columns=read_cols)
-            rows.append({"part": int(row["part"]), **_stats_fields(state)})
-        return pa.Table.from_pylist(rows)
+    def stats_one(item: dict) -> dict:
+        state = _load_state(table_dir, item["files"], schema, fs, columns=read_cols)
+        return {"part": item["part"], **_stats_fields(state)}
 
     work = [{"part": int(p), "files": mf.entry_rels(e)}
             for p, e in current.partitions.items() if mf.entry_rels(e)]
     if not work:
         return None
-    results = ray.data.from_items(work).map_batches(
-        stats_one, batch_size=1, batch_format="pyarrow",
-        retry_exceptions=True, max_retries=4,
-    ).take_all()  # O(P) rows
+    results = run_tasks(stats_one, work)  # O(P) rows
 
     partitions = dict(current.partitions)
     for r in results:
@@ -426,15 +410,15 @@ def retire_dropped(table_dir: str, column: str | None = None, fs=None) -> dict:
     """Clear column-DROP tombstones whose bytes no longer exist in any
     current-manifest data file, making the name safe to re-introduce.
 
-    A distributed FOOTER scan — one parquet-schema read per committed
-    file, payload never touched, driver sees one partial-count row per
-    block — checks each tombstoned name; tombstones found in zero files
-    are retired in a same-epoch revision commit, the rest stay pending.
+    A distributed FOOTER scan — one plain Ray task per committed file
+    (``tasks.run_tasks``) reads its parquet schema, payload never
+    touched, and reports which tombstoned names the file still carries;
+    tombstones found in zero files are retired in a same-epoch revision
+    commit, the rest stay pending.
     Returns ``{"retired": [...], "pending": {column: files_still_carrying}}``.
     Typical flow: ``drop_column`` → next compaction/clustering rewrites
     the partitions → ``retire_dropped`` → the name is free again."""
-    import pyarrow as pa
-    import ray.data
+    from .tasks import run_tasks
 
     fs = default_fs(fs)
     current = mf.load_current(table_dir, fs)
@@ -445,26 +429,15 @@ def retire_dropped(table_dir: str, column: str | None = None, fs=None) -> dict:
     targets = [column] if column is not None else list(current.dropped_columns)
     if not targets:
         return {"retired": [], "pending": {}}
-    rels = [os.path.relpath(f, table_dir) for f in current.data_files(table_dir)]
+
+    def scan(item: dict) -> dict:
+        have = set(fs.read_parquet_schema(item["path"]).names)
+        return {c: int(c in have) for c in targets}
+
     counts = dict.fromkeys(targets, 0)
-    if rels:
-        names = sorted(targets)
-
-        def scan(batch: pa.Table) -> pa.Table:
-            partial = dict.fromkeys(names, 0)
-            for rel in batch["rel"].to_pylist():
-                have = set(
-                    fs.read_parquet_schema(os.path.join(table_dir, rel)).names)
-                for c in names:
-                    partial[c] += int(c in have)
-            return pa.table({c: [partial[c]] for c in names})
-
-        for b in (ray.data.from_items([{"rel": r} for r in rels])
-                  .map_batches(scan, batch_format="pyarrow",
-                               retry_exceptions=True, max_retries=4)
-                  .iter_batches(batch_format="pyarrow")):
-            for c in names:
-                counts[c] += sum(b[c].to_pylist())
+    for row in run_tasks(scan, [{"path": f} for f in current.data_files(table_dir)]):
+        for c in targets:
+            counts[c] += row[c]
     retired = sorted(c for c, n in counts.items() if n == 0)
     pending = {c: n for c, n in counts.items() if n}
     if retired:

@@ -44,6 +44,7 @@ import ray.data
 from ..state import manifest as mf
 from ..state.fs import StorageAdapter, default_fs
 from .cdc import _load_state
+from .tasks import run_tasks
 
 EXPORT_MARKER = "_EXPORT.json"
 
@@ -135,48 +136,39 @@ def export_training(
     work = _partition_work(table_dir, cur)
     b64 = cur.schema_b64
 
-    def totals(batch: pa.Table) -> pa.Table:
+    def totals(item: dict) -> dict:
+        """``{"bucket": [...], "total": [...]}`` token totals of one
+        partition: its own bucket, or its occupied shuffle buckets."""
         import numpy as np
 
         schema = mf.schema_from_b64(b64)
-        buckets, tots = [], []
-        for row in batch.to_pylist():
-            t = _load_state(table_dir, row["files"], schema, fs,
-                            columns=[c for c in _SIZE_COLUMNS
-                                     if c in schema.names])
-            if t is None or t.num_rows == 0:
-                buckets.append(row["part"])
-                tots.append(0)
-            elif shuffle_seed is None:
-                buckets.append(row["part"])
-                tots.append(int(pc.sum(t["n_tok"]).as_py() or 0))
-            else:
-                # per-SHUFFLE-bucket partial sums: O(256) rows per
-                # partition task, summed across partitions on the driver
-                b = (_seeded_hash(t["doc_id"], shuffle_seed)
-                     % np.uint64(_SHUFFLE_BUCKETS)).astype(np.int64)
-                w = pc.cast(t["n_tok"], pa.int64()).to_numpy(zero_copy_only=False)
-                # int64 accumulation: bincount(weights=) sums in float64,
-                # exact only below 2^53 per bucket — not good enough for
-                # the 10^10-doc base offsets this feeds (ADVICE r3)
-                sums = np.zeros(_SHUFFLE_BUCKETS, dtype=np.int64)
-                np.add.at(sums, b, w)
-                # emit every OCCUPIED bucket, not every positive-sum one:
-                # a bucket whose docs all have n_tok=0 still forms a
-                # packing group in pass 2 and needs a base-offset entry
-                occ = np.flatnonzero(np.bincount(b, minlength=_SHUFFLE_BUCKETS))
-                buckets.extend(occ.tolist())
-                tots.extend(sums[occ].astype(np.int64).tolist())
-        return pa.table({"bucket": pa.array(buckets, pa.int64()),
-                         "total": pa.array(tots, pa.int64())})
+        t = _load_state(table_dir, item["files"], schema, fs,
+                        columns=[c for c in _SIZE_COLUMNS if c in schema.names])
+        if t is None or t.num_rows == 0:
+            return {"bucket": [item["part"]], "total": [0]}
+        if shuffle_seed is None:
+            return {"bucket": [item["part"]],
+                    "total": [int(pc.sum(t["n_tok"]).as_py() or 0)]}
+        # per-SHUFFLE-bucket partial sums: O(256) entries per partition
+        # task, summed across partitions on the driver
+        b = (_seeded_hash(t["doc_id"], shuffle_seed)
+             % np.uint64(_SHUFFLE_BUCKETS)).astype(np.int64)
+        w = pc.cast(t["n_tok"], pa.int64()).to_numpy(zero_copy_only=False)
+        # int64 accumulation: bincount(weights=) sums in float64,
+        # exact only below 2^53 per bucket — not good enough for
+        # the 10^10-doc base offsets this feeds (ADVICE r3)
+        sums = np.zeros(_SHUFFLE_BUCKETS, dtype=np.int64)
+        np.add.at(sums, b, w)
+        # emit every OCCUPIED bucket, not every positive-sum one:
+        # a bucket whose docs all have n_tok=0 still forms a
+        # packing group in pass 2 and needs a base-offset entry
+        occ = np.flatnonzero(np.bincount(b, minlength=_SHUFFLE_BUCKETS))
+        return {"bucket": occ.tolist(), "total": sums[occ].tolist()}
 
-    per_bucket = pd.DataFrame({"bucket": [], "total": []}) if not work else (
-        ray.data.from_items(work)
-        .map_batches(totals, batch_size=1, batch_format="pyarrow",
-                     retry_exceptions=True, max_retries=4)
-        .to_pandas()  # O(P [× 256 shuffled]) rows — count metadata
-        .groupby("bucket", as_index=False)["total"].sum()
-    )
+    rows = run_tasks(totals, work)  # O(P [× 256 shuffled]) count metadata
+    per_bucket = pd.DataFrame(
+        {k: [v for r in rows for v in r[k]] for k in ("bucket", "total")},
+        dtype="int64").groupby("bucket", as_index=False)["total"].sum()
     total_tokens = int(per_bucket["total"].sum()) if len(per_bucket) else 0
 
     def sized(batch: pa.Table) -> pa.Table:

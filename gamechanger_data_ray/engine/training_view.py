@@ -55,6 +55,7 @@ import ray.data
 from ..state import manifest as mf
 from ..state.fs import StorageAdapter, default_fs
 from .cdc import _load_state, _resolve_manifest
+from .tasks import run_tasks
 from .training_export import _seeded_hash
 
 TRAINING_MARKER = "_TRAINING.json"
@@ -170,35 +171,19 @@ def _run_packs(table_dir: str, out_dir: str, work: list[dict],
                schema_b64: str, cap: int, seed: int,
                fs: StorageAdapter,
                mixture: dict[str, float] | None = None) -> dict[str, dict]:
-    """Distribute the dirty-bucket packs (one Ray task per bucket)."""
-    if not work:
-        return {}
+    """Distribute the dirty-bucket packs (one plain Ray task per bucket,
+    ``tasks.run_tasks``)."""
+    def pack(item: dict) -> dict:
+        return _pack_bucket(
+            table_dir, item["files"], item["part"], schema_b64,
+            cap, seed, os.path.join(out_dir, item["rel"]), default_fs(None),
+            mixture=mixture)
 
-    def pack(batch: pa.Table) -> pa.Table:
-        rows = []
-        for row in batch.to_pylist():
-            stats = _pack_bucket(
-                table_dir, row["files"], row["part"], schema_b64,
-                cap, seed, os.path.join(out_dir, row["rel"]), default_fs(None),
-                mixture=mixture)
-            rows.append({"part": row["part"], "rel": row["rel"],
-                         "fp": row["fp"], **{k: v for k, v in stats.items()
-                                             if k != "file"}})
-        return pa.Table.from_pylist(rows)
-
-    res = (ray.data.from_items(work)
-           .map_batches(pack, batch_size=1, batch_format="pyarrow",
-                        retry_exceptions=True, max_retries=4)
-           .to_arrow_refs())
-    import ray as _ray
-
-    done = pa.concat_tables(_ray.get(res)).to_pylist()
     out: dict[str, dict] = {}
-    for r in done:
-        entry = {"src": r["fp"], "chunks": r["chunks"], "tokens": r["tokens"],
-                 "docs": r["docs"]}
-        entry["file"] = r["rel"] if r["chunks"] else None
-        out[str(r["part"])] = entry
+    for item, r in zip(work, run_tasks(pack, work)):
+        out[str(item["part"])] = {
+            "src": item["fp"], "chunks": r["chunks"], "tokens": r["tokens"],
+            "docs": r["docs"], "file": item["rel"] if r["chunks"] else None}
     return out
 
 

@@ -120,3 +120,44 @@ def test_scan_retries_flaky_storage_reads(tmp_path):
     clean = table_checksums(tb)
     assert table_checksums(tb, fs=FlakyReads()) == clean
     assert len(os.listdir(marker_dir)) > 0  # failures really were injected
+
+
+def test_commit_and_compact_retry_flaky_storage_writes(tmp_path):
+    """The stage, merge and compaction task pools retry a transient storage
+    write failure (first write per worker process): a merge-on-read replay
+    plus a compaction converge to the clean run's table and data files."""
+    import hashlib
+
+    from gamechanger_data_ray.engine.maintenance import compact
+    from gamechanger_data_ray.state import manifest as mf
+    from gamechanger_data_ray.state.fs import StorageAdapter
+
+    cd = str(tmp_path / "cl")
+    write_changelog(cd, num_epochs=2, events_per_epoch=400, num_keys=100)
+    marker_dir = str(tmp_path / "markers")
+    os.makedirs(marker_dir)
+
+    class FlakyWrites(StorageAdapter):
+        def write_parquet_atomic(self, table, path, row_group_size=None):
+            marker = os.path.join(marker_dir, f"pid-{os.getpid()}")
+            if not os.path.exists(marker):
+                with open(marker, "w") as f:
+                    f.write("failed once")
+                raise OSError("injected transient write failure")
+            StorageAdapter.write_parquet_atomic(self, table, path, row_group_size)
+
+    def build(tb, fs=None):
+        replay(cd, tb, num_partitions=4, merge_policy="delta",
+               epochs_per_commit=1, fs=fs)
+        assert compact(tb, fs=fs) is not None
+        digests = {}
+        for f in mf.load_current(tb).data_files(tb):
+            with open(f, "rb") as fh:
+                digests[os.path.relpath(f, tb)] = hashlib.sha256(fh.read()).hexdigest()
+        return table_to_arrow(tb), digests
+
+    clean_rows, clean_files = build(str(tmp_path / "clean"))
+    rows, files = build(str(tmp_path / "flaky"), fs=FlakyWrites())
+    assert len(os.listdir(marker_dir)) > 0  # failures really were injected
+    assert rows.equals(clean_rows)
+    assert files == clean_files
