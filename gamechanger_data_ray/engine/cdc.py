@@ -1118,30 +1118,33 @@ def scan_partitions(
     predicate=None,
     bounds: dict | None = None,
 ) -> ray.data.Dataset:
-    """The one full scan of a manifest's committed state: a Dataset of
-    ``fn(rows, part_ids)`` outputs, where ``rows`` is a block of resolved
-    rows conformed to ``read_schema`` (a projection of the manifest
-    schema) and ``part_ids`` an int64 array of each row's partition id.
+    """The one full scan of a manifest's committed state: a lazy Dataset
+    of ``fn(rows, part_ids)`` outputs, where ``rows`` is one partition's
+    resolved rows conformed to ``read_schema`` (a projection of the
+    manifest schema) and ``part_ids`` an int64 array of its partition id.
     Rules:
 
     - zone-map prune: with ``bounds``, partitions whose committed
       ``col_stats`` prove no overlap are skipped before any file opens;
-    - delta-free partitions: one ``read_parquet`` over all their files
-      with the filter (``predicate`` AND the bounds) pushed into the
-      scan; its dataset schema null-fills and widens columns older files
-      lack, and the ids come from each row's ``part=K/`` path;
-    - delta stacks: one retried task per partition resolves base +
-      deltas (:func:`_load_state`), THEN filters — pre-merge filtering
-      on a non-key column could drop a delta winner and resurrect the
-      base loser;
+    - one map over the surviving partitions, split into one block per
+      cluster CPU (at most); a task reads its partitions one by one and
+      yields one ``fn`` output each, so it holds one partition at a time.
+      Tasks retry (``max_retries=4``) on any exception, delta-free reads
+      included;
+    - delta-free partitions: the filter (``predicate`` AND the bounds) is
+      pushed into the parquet read, whose dataset schema null-fills and
+      widens columns older files lack;
+    - delta stacks: base + deltas are resolved (:func:`_load_state`)
+      THEN filtered — pre-merge filtering on a non-key column could drop
+      a delta winner and resurrect the base loser;
     - read schema: ``read_schema`` plus the bounds columns, so bounded
       scans keep column pruning; an opaque ``predicate`` (its columns
       are not introspectable) widens it to the full table schema.
 
-    ``fn`` runs inside the read or resolve task on both paths. A table
-    with a payload column named ``path`` (the read's path column) routes
-    every partition through the resolver."""
+    ``fn`` is called once per surviving partition, even when the filter
+    leaves it no rows, so every block is typed."""
     import pyarrow.dataset as pads
+    from ray._private.auto_init_hook import auto_init_ray
 
     full = manifest.schema
     if predicate is None:
@@ -1152,9 +1155,11 @@ def scan_partitions(
     flt = _bounds_expr(bounds) if bounds else None
     if predicate is not None:
         flt = predicate if flt is None else predicate & flt
+    # delta stacks also read what LWW resolution needs (key, order, op)
+    lww = set(file_schema.names) | {"doc_id", "lsn", "seq", "op"}
+    cols = None if predicate is not None else [n for n in full.names if n in lww]
 
-    plain: list[str] = []
-    stacks: list[dict] = []
+    items: list[dict] = []
     for p in sorted(manifest.partitions, key=int):
         e = manifest.partitions[p]
         rels = mf.entry_rels(e)
@@ -1162,45 +1167,29 @@ def scan_partitions(
             continue
         if bounds and not _stats_overlap(e.get("col_stats"), bounds):
             continue  # manifest zone maps prove no row can match
-        if e.get("deltas") or "path" in full.names:
-            stacks.append({"part": int(p), "files": rels})
-        else:
-            plain.append(os.path.join(table_dir, e["file"]))
-
-    def read_block(t: pa.Table):
-        ids = pc.struct_field(pc.extract_regex(t["path"], r"part=(?P<p>\d+)/"), "p")
-        return fn(conform(t, read_schema),
-                  pc.cast(ids, pa.int64()).to_numpy(zero_copy_only=False))
-
-    # delta stacks also read what LWW resolution needs (key, order, op)
-    lww = set(file_schema.names) | {"doc_id", "lsn", "seq", "op"}
-    cols = None if predicate is not None else [n for n in full.names if n in lww]
-
-    def resolve(batch: pa.Table):
-        row = batch.to_pylist()[0]
-        t = _load_state(table_dir, row["files"], full, fs, columns=cols)
-        if flt is not None:
-            t = pads.dataset(t).to_table(filter=flt)
-        return fn(conform(t, read_schema),
-                  np.full(t.num_rows, row["part"], dtype=np.int64))
-
-    pieces: list[ray.data.Dataset] = []
-    if plain:
-        pieces.append(ray.data.read_parquet(
-            plain, filesystem=fs.fs, schema=file_schema, include_paths=True,
-            partitioning=None, **({} if flt is None else {"filter": flt}),
-        ).map_batches(read_block, batch_format="pyarrow"))
-    if stacks:
-        pieces.append(ray.data.from_items(stacks).map_batches(
-            resolve, batch_size=1, batch_format="pyarrow",
-            retry_exceptions=True, max_retries=4,
-        ))
-    if not pieces:
+        items.append({"part": int(p), "files": rels, "stack": bool(e.get("deltas"))})
+    if not items:
         return ray.data.from_arrow(read_schema.empty_table())
-    ds = pieces[0]
-    for extra in pieces[1:]:
-        ds = ds.union(extra)
-    return ds
+
+    def scan_one(item: dict) -> pa.Table:
+        if item["stack"]:
+            t = _load_state(table_dir, item["files"], full, fs, columns=cols)
+            return t if flt is None else pads.dataset(t).to_table(filter=flt)
+        return pads.dataset(os.path.join(table_dir, item["files"][0]), schema=file_schema,
+                            format="parquet", filesystem=fs.fs).to_table(filter=flt)
+
+    def scan_group(batch: pa.Table):
+        for item in batch.to_pylist():
+            t = conform(scan_one(item), read_schema)
+            yield fn(t, np.full(t.num_rows, item["part"], dtype=np.int64))
+
+    # a caller without a Ray session gets one, as from any Ray Data read
+    auto_init_ray()
+    tasks = min(len(items), int(ray.cluster_resources().get("CPU", 1)))
+    return ray.data.from_items(items, override_num_blocks=tasks).map_batches(
+        scan_group, batch_size=None, batch_format="pyarrow",
+        retry_exceptions=True, max_retries=4,
+    )
 
 
 def _project(schema: pa.Schema, payload_only: bool, columns: list[str] | None) -> pa.Schema:
@@ -1233,12 +1222,14 @@ def read_table(
     are excluded (SQL comparison semantics).
 
     ``predicate`` (a ``pyarrow.dataset`` expression, e.g.
-    ``pc.field("n_tok") >= 100``) and the bounds are pushed into the
-    parquet scan of delta-free partitions for row-group pruning —
+    ``pc.field("n_tok") >= 100``) and the bounds are pushed into each
+    delta-free partition's parquet read for row-group pruning —
     partition files are written doc_id-sorted, so key-range predicates
     skip whole row groups at the footer. On merge-on-read delta stacks
     they filter after delta resolution. Only ``columns`` plus the bounds
-    columns are read; an opaque ``predicate`` reads every column.
+    columns are read; an opaque ``predicate`` reads every column. The
+    surviving partitions are read by at most one task per cluster CPU,
+    each yielding one typed table per partition.
 
     ``epoch`` (an int or a snapshot tag name) scans AS OF that retained
     manifest instead of the committed one, without moving ``_CURRENT``

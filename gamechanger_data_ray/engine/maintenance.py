@@ -709,9 +709,9 @@ def validate_table(table_dir: str) -> dict:
     (``common/document_parser/cli.py:75-81`` + ``validators/``) as a
     counting pass over :func:`cdc.scan_partitions`: every committed
     partition is read, conformed to the manifest schema (schema drift in
-    old files surfaces here) and, on delta stacks, LWW-resolved in one
-    retried task per partition; delta-free partitions share one parquet
-    read. The row invariants are counted vectorized per partition:
+    old files surfaces here) and, on delta stacks, LWW-resolved, by at
+    most one retried task per cluster CPU that takes its partitions one
+    at a time. The row invariants are counted vectorized per partition:
 
     - ``len(tokens) == n_tok`` for payload rows
     - ``doc_id`` non-null and non-empty
@@ -721,8 +721,8 @@ def validate_table(table_dir: str) -> dict:
       committed zone map (``col_stats``) — a stale/corrupt bound would
       silently drop rows from bounded scans, so it is checked here
 
-    Driver sees O(P) partial rows (one per partition per block); payload
-    never leaves the workers.
+    Driver sees O(P) partial rows (one per partition); payload never
+    leaves the workers.
     """
     import pandas as pd
     import pyarrow as pa
@@ -814,8 +814,10 @@ def table_checksums(table_dir: str, fs=None, epoch=None) -> dict:
     state digests identically, while any single changed row flips it.
     The analog of the reference's export integrity footprint
     (``dataPipelines/gc_ingest/tools/db/utils.py:135-235``) upgraded to
-    a comparable-across-layout checksum; workers reduce locally and the
-    driver sees one 32-byte digest + row count per partition per block.
+    a comparable-across-layout checksum, reduced inside the tasks of
+    :func:`cdc.scan_partitions` (at most one per cluster CPU, each
+    taking its partitions one at a time): the driver sees one 32-byte
+    digest + row count per partition.
     """
     import hashlib
 

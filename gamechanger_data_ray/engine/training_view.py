@@ -176,7 +176,7 @@ def _run_packs(table_dir: str, out_dir: str, work: list[dict],
     def pack(item: dict) -> dict:
         return _pack_bucket(
             table_dir, item["files"], item["part"], schema_b64,
-            cap, seed, os.path.join(out_dir, item["rel"]), default_fs(None),
+            cap, seed, os.path.join(out_dir, item["rel"]), fs,
             mixture=mixture)
 
     out: dict[str, dict] = {}

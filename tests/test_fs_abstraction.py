@@ -130,3 +130,31 @@ def test_time_travel_through_subtree_filesystem(tmp_path):
     assert _sorted_arrow(diff_table_epochs("tb", 1, 3, fs=fs), by).equals(
         _sorted_arrow(diff_table_epochs(ref, 1, 3), by))
     assert mf.list_manifests("tb", fs) == mf.list_manifests(ref) == [1, 2, 3]
+
+
+def test_training_view_through_subtree_filesystem(tmp_path):
+    """The training view packs its buckets through the adapter it was
+    given: with table-relative paths inside a SubTreeFileSystem jail, a
+    refresh writes the same bucket files as one on a plain-path replica."""
+    import hashlib
+
+    from gamechanger_data_ray.engine.training_view import training_view_refresh
+
+    root = tmp_path / "jail"
+    root.mkdir()
+    fs = StorageAdapter(pafs.SubTreeFileSystem(str(root), pafs.LocalFileSystem()))
+    write_changelog(str(root / "cl"), num_epochs=1, events_per_epoch=300,
+                    num_keys=80, seed=14)
+    replay("cl", "tb", num_partitions=2, fs=fs)
+    ref = str(tmp_path / "ref")
+    replay(str(root / "cl"), ref, num_partitions=2)
+
+    got = training_view_refresh("view", "tb", cap=64, seed=1, fs=fs)
+    want = training_view_refresh(str(tmp_path / "view"), ref, cap=64, seed=1)
+    assert got["total_chunks"] == want["total_chunks"] > 0
+
+    def digests(out, marker):
+        return {p: hashlib.sha1((out / b["file"]).read_bytes()).hexdigest()
+                for p, b in marker["buckets"].items() if b.get("file")}
+
+    assert digests(root / "view", got) == digests(tmp_path / "view", want)

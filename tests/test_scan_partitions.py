@@ -4,12 +4,16 @@ mixed layout — copy-on-write partitions of two file generations (before
 and after the ``lang`` column was added) and merge-on-read delta stacks —
 every argument shape of ``read_table`` must equal a driver-side reference
 (resolve each partition, filter, project), and the reducers must equal
-those of a copy-on-write twin."""
+those of a copy-on-write twin. The scan runs at most one task per Ray CPU,
+calls ``fn`` once per partition and never emits a block without columns."""
 
 from __future__ import annotations
 
 import glob
+import json
+import logging
 import os
+import uuid
 
 import numpy as np
 import pyarrow as pa
@@ -28,6 +32,7 @@ from gamechanger_data_ray.engine.cdc import (
     apply_epochs,
     apply_events_dataset,
     read_table,
+    scan_partitions,
 )
 from gamechanger_data_ray.engine.maintenance import table_checksums, validate_table
 from gamechanger_data_ray.state import manifest as mf
@@ -41,8 +46,8 @@ def _sorted(t: pa.Table) -> pa.Table:
 
 
 def _rows(ds) -> pa.Table:
-    # a block the pushed-down filter emptied may carry no columns
-    blocks = [b for b in ray.get(ds.to_arrow_refs()) if b.num_rows]
+    blocks = ray.get(ds.to_arrow_refs())
+    assert all(b.num_columns for b in blocks), "schema-less block"
     return _sorted(pa.concat_tables(blocks))
 
 
@@ -143,3 +148,85 @@ def test_payload_columns_named_like_scan_columns(tmp_path, payload):
     assert got.equals(_sorted(t.select(["doc_id", *payload])))
     parts = {int(p) for p in mf.load_current(td).partitions}
     assert set(table_checksums(td)["by_partition"]) == parts
+
+
+def test_bounded_scan_yields_no_schemaless_block(tmp_path):
+    """A pushed-down filter that empties some partitions leaves typed
+    blocks only: no ``(0, 0)`` block and no executor warning about a
+    RefBundle with a different schema."""
+    cd, td = str(tmp_path / "cl"), str(tmp_path / "tb")
+    write_changelog(cd, num_epochs=1, events_per_epoch=3000, num_keys=800,
+                    seed=3)
+    apply_epochs(cd, td, [1], num_partitions=NPART)
+    seen: list[str] = []
+    handler = logging.Handler()
+    handler.emit = lambda record: seen.append(record.getMessage())
+    log = logging.getLogger(
+        "ray.data._internal.execution.streaming_executor_state")
+    log.addHandler(handler)
+    try:
+        blocks = ray.get(read_table(td, bounds={"n_tok": (18, 18)})
+                         .to_arrow_refs())
+    finally:
+        log.removeHandler(handler)
+    assert sum(b.num_rows for b in blocks) > 0
+    assert [b.shape for b in blocks if not b.num_columns] == []
+    assert not [m for m in seen if "different schema" in m]
+
+
+@pytest.fixture(scope="module")
+def wide(tmp_path_factory):
+    """16 partitions: epoch 1 copy-on-write everywhere, epoch 2 as
+    merge-on-read deltas on partitions 0-7 only."""
+    root = tmp_path_factory.mktemp("wide")
+    cd, td = str(root / "cl"), str(root / "tb")
+    write_changelog(cd, num_epochs=2, events_per_epoch=800, num_keys=300)
+    apply_epochs(cd, td, [1], num_partitions=16)
+    files = sorted(glob.glob(os.path.join(cd, "epoch=000002", "*.parquet")))
+    ev = pa.concat_tables([pq.read_table(f) for f in files])
+    pid = partition_ids(ev["doc_id"].combine_chunks(), 16).to_numpy()
+    apply_events_dataset(ray.data.from_arrow(ev.filter(pa.array(pid < 8))),
+                         td, 2, ev.schema, num_partitions=16,
+                         merge_policy="delta")
+    return td
+
+
+def test_scan_groups_partitions_into_one_task_per_cpu(wide, tmp_path):
+    """A 16-partition mixed scan runs at most one map task per Ray CPU (4
+    on the test session), and ``fn`` sees every partition exactly once
+    with one id."""
+    td = wide
+    m = mf.load_current(td)
+    assert sum(bool(e.get("deltas")) for e in m.partitions.values()) == 8
+    calls = str(tmp_path / "calls")
+    os.makedirs(calls)
+
+    def record(rows, part_ids):
+        task = ray.get_runtime_context().get_task_id()
+        with open(os.path.join(calls, uuid.uuid4().hex), "w") as f:
+            json.dump({"task": task, "parts": np.unique(part_ids).tolist(),
+                       "rows": rows.num_rows, "ids": len(part_ids)}, f)
+        return rows
+
+    ds = scan_partitions(td, m, default_fs(None), m.schema, record)
+    cpus = int(ray.cluster_resources()["CPU"])
+    assert cpus < 16
+    # one execution: to_arrow_refs would run the scan again for its schema
+    got = pa.concat_tables(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
+    assert _sorted(got).equals(_reference(td))
+    seen = [json.load(open(os.path.join(calls, n))) for n in os.listdir(calls)]
+    assert len({c["task"] for c in seen}) <= cpus
+    assert all(len(c["parts"]) == 1 and c["rows"] == c["ids"] for c in seen)
+    assert sorted(c["parts"][0] for c in seen) == sorted(
+        int(p) for p in m.partitions)
+
+
+def test_scan_pruned_to_nothing_is_typed_empty(wide):
+    """Bounds that zone-map-prune every partition give an empty Dataset
+    typed as the read schema."""
+    td = wide
+    cols = ["doc_id", "n_tok"]
+    ds = read_table(td, columns=cols, bounds={"n_tok": (10**9, None)})
+    want = pa.schema([mf.load_current(td).schema.field(c) for c in cols])
+    assert ds.count() == 0
+    assert ds.schema().base_schema == want
