@@ -13,7 +13,9 @@ the cron-style job wrappers (``paasJobs/job_runner.sh``). Subcommands:
     python -m gamechanger_data_ray diff      --table DIR --from-epoch A [--to-epoch B]
     python -m gamechanger_data_ray view      --table DIR --view DIR --group-by COLS [--sum OUT=SRC]
 
-Owns its Ray session (guarded init; the library never calls ray.init).
+Starts a Ray session (honouring ``--num-cpus``) when the caller has none
+and shuts down only a session it started, so an in-process caller keeps
+its own; the library never calls ray.init.
 """
 
 from __future__ import annotations
@@ -24,10 +26,13 @@ import os
 import sys
 
 
-def _ray_init(num_cpus: int | None):
+def _ray_init(num_cpus: int | None) -> bool:
+    """Start a Ray session unless the caller already runs one; True if
+    this call started it (and so owns its shutdown)."""
     import ray
 
-    if not ray.is_initialized():
+    started = not ray.is_initialized()
+    if started:
         kwargs = dict(
             address="local", include_dashboard=False, ignore_reinit_error=True,
             logging_level="ERROR",
@@ -38,7 +43,7 @@ def _ray_init(num_cpus: int | None):
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
-
+    return started
 
 
 def _epoch_arg(table_dir: str, v):
@@ -775,139 +780,12 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"tags": tags}))
         return 0
 
-    if args.cmd == "restamp-stats":
-        from gamechanger_data_ray.engine.maintenance import restamp_stats
-
-        m = restamp_stats(args.table)
-        print(json.dumps({"committed": m is not None,
-                          "epoch": m.epoch if m else None,
-                          "rev": m.rev if m else None}))
-        return 0
-
-    if args.cmd == "delete-where":
-        from gamechanger_data_ray.engine.maintenance import delete_where
-
-        def side_dw(v):
-            if v == "":
-                return None
-            for cast in (int, float):
-                try:
-                    return cast(v)
-                except ValueError:
-                    continue
-            return v
-
-        bounds_dw = {}
-        for spec in args.bounds:
-            parts_ = spec.split(":", 2)
-            if len(parts_) != 3:
-                p.error(f"--bounds expects COL:LO:HI (empty side = "
-                        f"unbounded), got {spec!r}")
-            col, lo, hi = parts_
-            bounds_dw[col] = (side_dw(lo), side_dw(hi))
-        print(json.dumps(delete_where(
-            args.table, bounds=bounds_dw or None,
-            key_column=args.key_column, num_partitions=args.partitions)))
-        return 0
-
     if args.cmd == "drop-column":
         from gamechanger_data_ray.engine.maintenance import drop_column
 
         m = drop_column(args.table, args.column)
         print(json.dumps({"dropped": args.column, "epoch": m.epoch,
                           "rev": m.rev, "tombstones": m.dropped_columns}))
-        return 0
-
-    if args.cmd == "retire-dropped":
-        from gamechanger_data_ray.engine.maintenance import retire_dropped
-
-        print(json.dumps(retire_dropped(args.table, args.column)))
-        return 0
-
-    if args.cmd == "export-training":
-        from gamechanger_data_ray.engine.training_export import export_training
-
-        print(json.dumps(export_training(
-            args.table, args.out, cap=args.cap,
-            epoch=_epoch_arg(args.table, args.at),
-            shuffle_seed=args.shuffle_seed)))
-        return 0
-
-    if args.cmd == "training-view":
-        from gamechanger_data_ray.engine.training_view import training_view_refresh
-
-        m = training_view_refresh(
-            args.out, args.table, cap=args.cap, seed=args.seed,
-            mixture=json.loads(args.mixture) if args.mixture else None)
-        print(json.dumps({k: m.get(k) for k in (
-            "epoch", "rev", "cap", "seed", "mixture", "repacked",
-            "total_chunks", "total_tokens", "docs")}))
-        return 0
-
-    if args.cmd == "drift":
-        from gamechanger_data_ray.engine.drift import drift_report
-
-        print(json.dumps(drift_report(
-            args.table, _epoch_arg(args.table, args.from_epoch),
-            _epoch_arg(args.table, args.to_epoch), args.column)))
-        return 0
-
-    if args.cmd == "scan":
-        from gamechanger_data_ray.engine.cdc import (
-            _resolve_manifest,
-            _stats_overlap,
-            read_table,
-        )
-        from gamechanger_data_ray.state.fs import default_fs
-
-        at = _epoch_arg(args.table, args.at)
-        cur = _resolve_manifest(args.table, at, default_fs(None))
-
-        def side(col: str, v: str):
-            if v == "":
-                return None
-            # coerce by the COLUMN's type, not by what the string looks
-            # like — a string column may hold numeric-looking values
-            if cur is not None and col in cur.schema.names:
-                import pyarrow as pa
-
-                ty = cur.schema.field(col).type
-                if pa.types.is_integer(ty):
-                    return int(v)
-                if pa.types.is_floating(ty):
-                    return float(v)
-                return v
-            for cast in (int, float):
-                try:
-                    return cast(v)
-                except ValueError:
-                    continue
-            return v
-
-        bounds = {}
-        for spec in args.bounds:
-            parts_ = spec.split(":", 2)
-            if len(parts_) != 3:
-                p.error(f"--bounds expects COL:LO:HI (empty side = unbounded), got {spec!r}")
-            col, lo, hi = parts_
-            bounds[col] = (side(col, lo), side(col, hi))
-        skipped = 0
-        if cur is not None and bounds:
-            skipped = sum(
-                1 for e in cur.partitions.values()
-                if not _stats_overlap(e.get("col_stats"), bounds))
-        ds = read_table(args.table, columns=args.columns or None,
-                        bounds=bounds or None, epoch=at)
-        if args.out:
-            ds.write_parquet(args.out)
-            rows = None  # avoid a second pass; the sink already streamed it
-        else:
-            rows = ds.count()
-        print(json.dumps({
-            "partitions_total": len(cur.partitions) if cur else 0,
-            "partitions_skipped": skipped,
-            **({"rows": rows} if rows is not None else {"out": args.out}),
-        }))
         return 0
 
     if args.cmd == "status":
@@ -1027,7 +905,7 @@ def main(argv: list[str] | None = None) -> int:
                         keep_manifests=args.keep_manifests))
         return 0
 
-    _ray_init(args.num_cpus)
+    owns_session = _ray_init(args.num_cpus)
     import ray
 
     try:
@@ -1433,6 +1311,119 @@ def main(argv: list[str] | None = None) -> int:
             from gamechanger_data_ray.engine.subscriptions import sync
 
             print(json.dumps({"synced": sync(args.table)}))
+        elif args.cmd == "restamp-stats":
+            from gamechanger_data_ray.engine.maintenance import restamp_stats
+
+            m = restamp_stats(args.table)
+            print(json.dumps({"committed": m is not None,
+                              "epoch": m.epoch if m else None,
+                              "rev": m.rev if m else None}))
+        elif args.cmd == "delete-where":
+            from gamechanger_data_ray.engine.maintenance import delete_where
+
+            def side_dw(v):
+                if v == "":
+                    return None
+                for cast in (int, float):
+                    try:
+                        return cast(v)
+                    except ValueError:
+                        continue
+                return v
+
+            bounds_dw = {}
+            for spec in args.bounds:
+                parts_ = spec.split(":", 2)
+                if len(parts_) != 3:
+                    p.error(f"--bounds expects COL:LO:HI (empty side = "
+                            f"unbounded), got {spec!r}")
+                col, lo, hi = parts_
+                bounds_dw[col] = (side_dw(lo), side_dw(hi))
+            print(json.dumps(delete_where(
+                args.table, bounds=bounds_dw or None,
+                key_column=args.key_column, num_partitions=args.partitions)))
+        elif args.cmd == "retire-dropped":
+            from gamechanger_data_ray.engine.maintenance import retire_dropped
+
+            print(json.dumps(retire_dropped(args.table, args.column)))
+        elif args.cmd == "export-training":
+            from gamechanger_data_ray.engine.training_export import export_training
+
+            print(json.dumps(export_training(
+                args.table, args.out, cap=args.cap,
+                epoch=_epoch_arg(args.table, args.at),
+                shuffle_seed=args.shuffle_seed)))
+        elif args.cmd == "training-view":
+            from gamechanger_data_ray.engine.training_view import training_view_refresh
+
+            m = training_view_refresh(
+                args.out, args.table, cap=args.cap, seed=args.seed,
+                mixture=json.loads(args.mixture) if args.mixture else None)
+            print(json.dumps({k: m.get(k) for k in (
+                "epoch", "rev", "cap", "seed", "mixture", "repacked",
+                "total_chunks", "total_tokens", "docs")}))
+        elif args.cmd == "drift":
+            from gamechanger_data_ray.engine.drift import drift_report
+
+            print(json.dumps(drift_report(
+                args.table, _epoch_arg(args.table, args.from_epoch),
+                _epoch_arg(args.table, args.to_epoch), args.column)))
+        elif args.cmd == "scan":
+            from gamechanger_data_ray.engine.cdc import (
+                _resolve_manifest,
+                _stats_overlap,
+                read_table,
+            )
+            from gamechanger_data_ray.state.fs import default_fs
+
+            at = _epoch_arg(args.table, args.at)
+            cur = _resolve_manifest(args.table, at, default_fs(None))
+
+            def side(col: str, v: str):
+                if v == "":
+                    return None
+                # coerce by the COLUMN's type, not by what the string looks
+                # like — a string column may hold numeric-looking values
+                if cur is not None and col in cur.schema.names:
+                    import pyarrow as pa
+
+                    ty = cur.schema.field(col).type
+                    if pa.types.is_integer(ty):
+                        return int(v)
+                    if pa.types.is_floating(ty):
+                        return float(v)
+                    return v
+                for cast in (int, float):
+                    try:
+                        return cast(v)
+                    except ValueError:
+                        continue
+                return v
+
+            bounds = {}
+            for spec in args.bounds:
+                parts_ = spec.split(":", 2)
+                if len(parts_) != 3:
+                    p.error(f"--bounds expects COL:LO:HI (empty side = unbounded), got {spec!r}")
+                col, lo, hi = parts_
+                bounds[col] = (side(col, lo), side(col, hi))
+            skipped = 0
+            if cur is not None and bounds:
+                skipped = sum(
+                    1 for e in cur.partitions.values()
+                    if not _stats_overlap(e.get("col_stats"), bounds))
+            ds = read_table(args.table, columns=args.columns or None,
+                            bounds=bounds or None, epoch=at)
+            if args.out:
+                ds.write_parquet(args.out)
+                rows = None  # avoid a second pass; the sink already streamed it
+            else:
+                rows = ds.count()
+            print(json.dumps({
+                "partitions_total": len(cur.partitions) if cur else 0,
+                "partitions_skipped": skipped,
+                **({"rows": rows} if rows is not None else {"out": args.out}),
+            }))
         elif args.cmd == "validate":
             from gamechanger_data_ray.engine.maintenance import validate_table
 
@@ -1477,7 +1468,8 @@ def main(argv: list[str] | None = None) -> int:
                               "deletes": m.epoch_counters["deletes"] if m else 0}))
         return 0
     finally:
-        ray.shutdown()
+        if owns_session:  # an in-process caller's own session stays up
+            ray.shutdown()
 
 
 if __name__ == "__main__":

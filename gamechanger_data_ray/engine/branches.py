@@ -302,12 +302,7 @@ def branch_diff(table_dir: str, name: str, mode: str = "events", fs=None):
     moved since the fork, the diff is against the parent's CURRENT state
     — exactly what a publish would be refused over, so the report shows
     the operator what the conflict is about."""
-    import pyarrow as pa
-    import ray.data
-
-    from ..core.diff import CHANGE_COLUMN, SIGN_COLUMN
-    from ..core.reconcile import unify_schemas
-    from .diff import _diff_task
+    from .diff import _diff_manifests
 
     fs = default_fs(fs)
     bdir = branch_path(table_dir, name)
@@ -321,34 +316,7 @@ def branch_diff(table_dir: str, name: str, mode: str = "events", fs=None):
         raise ValueError("parent was repartitioned under the branch — "
                          "partition alignment lost; discard and re-fork")
 
-    def abs_rels(man: mf.TableManifest, root: str, p: str) -> list[str]:
-        e = man.partitions.get(p)
-        if e is None:
-            return []
-        return [os.path.abspath(os.path.join(root, r)) for r in mf.entry_rels(e)]
-
-    work = []
-    for p in sorted(set(man_old.partitions) | set(man_new.partitions), key=int):
-        old_f = abs_rels(man_old, table_dir, p)
-        new_f = abs_rels(man_new, bdir, p)
-        if old_f == new_f:  # untouched by the branch: free prune
-            continue
-        work.append({"part": int(p), "old_files": old_f, "new_files": new_f})
-    unified_b64 = mf.schema_to_b64(
-        unify_schemas(man_old.schema, man_new.schema))
-    extra = (pa.field(CHANGE_COLUMN, pa.string()) if mode == "events"
-             else pa.field(SIGN_COLUMN, pa.int8()))
-    out_schema = pa.schema(
-        list(mf.schema_from_b64(unified_b64)) + [extra])
-    if not work:
-        return ray.data.from_arrow(
-            pa.table({f.name: pa.array([], f.type) for f in out_schema}))
-    # absolute file paths ride the work items, so the task root is ""
-    return ray.data.from_items(work).map_batches(
-        _diff_task("", unified_b64, mode, fs),
-        batch_size=1, batch_format="pyarrow",
-        retry_exceptions=True, max_retries=4,
-    )
+    return _diff_manifests(man_old, table_dir, man_new, bdir, mode, fs)
 
 
 def branch_rebase(table_dir: str, name: str, fs=None) -> dict:

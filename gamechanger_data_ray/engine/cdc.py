@@ -1119,10 +1119,11 @@ def scan_partitions(
     bounds: dict | None = None,
 ) -> ray.data.Dataset:
     """The one full scan of a manifest's committed state: a lazy Dataset
-    of ``fn(rows, part_ids)`` outputs, where ``rows`` is one partition's
+    of ``fn(rows, part)`` outputs, where ``rows`` is one partition's
     resolved rows conformed to ``read_schema`` (a projection of the
-    manifest schema) and ``part_ids`` an int64 array of its partition id.
-    Rules:
+    manifest schema) and ``part`` its partition id (an ``int``). Every
+    whole-table reducer (read, validate, checksums, restamp, training
+    export) is an ``fn``. Rules:
 
     - zone-map prune: with ``bounds``, partitions whose committed
       ``col_stats`` prove no overlap are skipped before any file opens;
@@ -1142,7 +1143,10 @@ def scan_partitions(
       are not introspectable) widens it to the full table schema.
 
     ``fn`` is called once per surviving partition, even when the filter
-    leaves it no rows, so every block is typed."""
+    or a delete leaves it no rows, so every block is typed and a reducer
+    learns the id of an empty partition. With no partition to read the
+    result is an empty Dataset typed as ``read_schema``, not as ``fn``'s
+    output: a reducer guards that case itself."""
     import pyarrow.dataset as pads
     from ray._private.auto_init_hook import auto_init_ray
 
@@ -1181,7 +1185,7 @@ def scan_partitions(
     def scan_group(batch: pa.Table):
         for item in batch.to_pylist():
             t = conform(scan_one(item), read_schema)
-            yield fn(t, np.full(t.num_rows, item["part"], dtype=np.int64))
+            yield fn(t, item["part"])
 
     # a caller without a Ray session gets one, as from any Ray Data read
     auto_init_ray()
@@ -1249,7 +1253,7 @@ def read_table(
         return ray.data.from_arrow(pa.table({}))
     return scan_partitions(table_dir, current, fs,
                            _project(current.schema, payload_only, columns),
-                           lambda rows, part_ids: rows,
+                           lambda rows, part: rows,
                            predicate=predicate, bounds=bounds)
 
 

@@ -25,6 +25,8 @@ Closure property (tested): LWW-applying the ``"events"``-mode diff onto the
 
 from __future__ import annotations
 
+import os
+
 import pyarrow as pa
 import ray.data
 
@@ -35,17 +37,57 @@ from ..state.fs import StorageAdapter, default_fs
 from .cdc import _load_state
 
 
-def _diff_task(table_dir: str, unified_b64: str, mode: str, fs: StorageAdapter):
+def _diff_task(unified_b64: str, mode: str, fs: StorageAdapter):
     def run(batch: pa.Table) -> pa.Table:
         schema = mf.schema_from_b64(unified_b64)
         out: list[pa.Table] = []
         for row in batch.to_pylist():
-            old = _load_state(table_dir, list(row["old_files"]), schema, fs)
-            new = _load_state(table_dir, list(row["new_files"]), schema, fs)
+            old = _load_state("", list(row["old_files"]), schema, fs)
+            new = _load_state("", list(row["new_files"]), schema, fs)
             out.append(diff_states(old, new, mode=mode))
         return pa.concat_tables(out)
 
     return run
+
+
+def _diff_manifests(
+    man_old: mf.TableManifest, old_root: str,
+    man_new: mf.TableManifest, new_root: str,
+    mode: str, fs: StorageAdapter,
+) -> ray.data.Dataset:
+    """The change rows from ``man_old``'s state to ``man_new``'s, each
+    manifest's files relative to its own root: one task per partition
+    whose files differ. Files are compared by absolute path, so a
+    partition both sides reference identically — carry-forward between
+    epochs, or a branch entry still pointing into its parent — prunes
+    without reading a byte. Callers check partition alignment."""
+
+    def files(man: mf.TableManifest, root: str, p: str) -> list[str]:
+        e = man.partitions.get(p)
+        return [] if e is None else [os.path.join(root, r) for r in mf.entry_rels(e)]
+
+    work = []
+    for p in sorted(set(man_old.partitions) | set(man_new.partitions), key=int):
+        old_f, new_f = files(man_old, old_root, p), files(man_new, new_root, p)
+        if list(map(os.path.abspath, old_f)) == list(map(os.path.abspath, new_f)):
+            continue  # the same files: an untouched partition, free prune
+        work.append({"part": int(p), "old_files": old_f, "new_files": new_f})
+
+    unified = unify_schemas(man_old.schema, man_new.schema)
+    extra = (
+        pa.field(CHANGE_COLUMN, pa.string())
+        if mode == "events"
+        else pa.field(SIGN_COLUMN, pa.int8())
+    )
+    if not work:
+        return ray.data.from_arrow(pa.schema(list(unified) + [extra]).empty_table())
+    return ray.data.from_items(work).map_batches(
+        _diff_task(mf.schema_to_b64(unified), mode, fs),
+        batch_size=1,
+        batch_format="pyarrow",
+        retry_exceptions=True,
+        max_retries=4,
+    )
 
 
 def diff_table_epochs(
@@ -81,37 +123,7 @@ def diff_table_epochs(
             f"count (got {man_old.num_partitions} vs {man_new.num_partitions}); "
             "a repartition_table between them breaks partition alignment"
         )
-    unified = unify_schemas(man_old.schema, man_new.schema)
-    unified_b64 = mf.schema_to_b64(unified)
-
-    def rels(man: mf.TableManifest, p: str) -> list[str]:
-        e = man.partitions.get(p)
-        return [] if e is None else mf.entry_rels(e)
-
-    work = []
-    for p in sorted(set(man_old.partitions) | set(man_new.partitions), key=int):
-        old_rels, new_rels = rels(man_old, p), rels(man_new, p)
-        if old_rels == new_rels:  # carry-forward: untouched partition, free prune
-            continue
-        work.append({"part": int(p), "old_files": old_rels, "new_files": new_rels})
-
-    extra = (
-        pa.field(CHANGE_COLUMN, pa.string())
-        if mode == "events"
-        else pa.field(SIGN_COLUMN, pa.int8())
-    )
-    out_schema = pa.schema(list(unified) + [extra])
-    if not work:
-        return ray.data.from_arrow(
-            pa.table({f.name: pa.array([], f.type) for f in out_schema})
-        )
-    return ray.data.from_items(work).map_batches(
-        _diff_task(table_dir, unified_b64, mode, fs),
-        batch_size=1,
-        batch_format="pyarrow",
-        retry_exceptions=True,
-        max_retries=4,
-    )
+    return _diff_manifests(man_old, table_dir, man_new, table_dir, mode, fs)
 
 
 def relay(

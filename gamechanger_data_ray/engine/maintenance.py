@@ -295,39 +295,30 @@ def restamp_stats(table_dir: str, fs=None) -> mf.TableManifest | None:
     corruption ``validate`` flags as ``zone_map_oob``, backfill
     ``col_stats`` on tables committed before payload zone maps existed,
     and tighten the soundly-wide bounds merge-on-read delta commits
-    accumulate without paying for a compaction. One plain Ray task per
-    partition (``tasks.run_tasks``), projected to the scalar columns
-    (stats need every scalar column, but list payloads — the wide
-    ``tokens`` column — are never read: the parquet scan projects them
-    out). Returns the committed manifest, or None if there is nothing
-    committed or a racing rewrite fenced it."""
+    accumulate without paying for a compaction. One
+    :func:`cdc.scan_partitions` pass whose read schema is only the scalar
+    payload columns (list payloads — the wide ``tokens`` column — are
+    never read); ``fn`` turns each partition into one stats row, an
+    emptied partition included, and the driver folds the rows with
+    :func:`cdc.fold_entry`. Returns the committed manifest, or None if
+    there is nothing committed or a racing rewrite fenced it."""
     import pyarrow as pa
 
-    from .cdc import _STATS_EXCLUDE, _load_state, _stats_fields, fold_entry
-    from .tasks import run_tasks
+    from .cdc import _STATS_EXCLUDE, _stats_fields, fold_entry, scan_partitions
 
     fs = default_fs(fs)
     current = mf.load_current(table_dir, fs)
     if current is None or not current.partitions:
         return None
-    # scalar payload columns + what LWW resolution needs — the wide list
-    # payload never leaves the parquet footer
-    schema = current.schema
-    stat_cols = [f.name for f in schema
-                 if f.name not in _STATS_EXCLUDE and not pa.types.is_nested(f.type)]
-    read_cols = sorted({"op", "lsn", "seq", "doc_id", *stat_cols}
-                       & set(schema.names))
+    read_schema = pa.schema([f for f in current.schema if f.name not in _STATS_EXCLUDE
+                             and not pa.types.is_nested(f.type)])
 
-    def stats_one(item: dict) -> dict:
-        state = _load_state(table_dir, item["files"], schema, fs, columns=read_cols)
-        return {"part": item["part"], **_stats_fields(state)}
+    def stats_one(rows: pa.Table, part: int) -> pa.Table:
+        return pa.table({"part": [part], **{k: [v] for k, v in _stats_fields(rows).items()}})
 
-    work = [{"part": int(p), "files": mf.entry_rels(e)}
-            for p, e in current.partitions.items() if mf.entry_rels(e)]
-    if not work:
-        return None
-    results = run_tasks(stats_one, work)  # O(P) rows
-
+    results = scan_partitions(table_dir, current, fs, read_schema, stats_one).take_all()
+    if not results:
+        return None  # no partition holds a file
     partitions = dict(current.partitions)
     for r in results:
         p = str(r["part"])
@@ -711,7 +702,8 @@ def validate_table(table_dir: str) -> dict:
     partition is read, conformed to the manifest schema (schema drift in
     old files surfaces here) and, on delta stacks, LWW-resolved, by at
     most one retried task per cluster CPU that takes its partitions one
-    at a time. The row invariants are counted vectorized per partition:
+    at a time. ``fn`` counts each partition's violations of these row
+    invariants into one row:
 
     - ``len(tokens) == n_tok`` for payload rows
     - ``doc_id`` non-null and non-empty
@@ -721,8 +713,8 @@ def validate_table(table_dir: str) -> dict:
       committed zone map (``col_stats``) — a stale/corrupt bound would
       silently drop rows from bounded scans, so it is checked here
 
-    Driver sees O(P) partial rows (one per partition); payload never
-    leaves the workers.
+    The driver indexes those O(P) rows by partition, with no re-fold;
+    payload never leaves the workers.
     """
     import pandas as pd
     import pyarrow as pa
@@ -739,52 +731,38 @@ def validate_table(table_dir: str) -> dict:
     stats_map = {int(p): (e.get("col_stats") or {})
                  for p, e in current.partitions.items()}
 
-    def check(t: pa.Table, part_ids) -> pd.DataFrame:
-        part = pd.Series(part_ids)
+    def check(t: pa.Table, part: int) -> pd.DataFrame:
         ntok = pc.list_value_length(t["tokens"]).to_pandas().astype("float")
         n_tok_col = t["n_tok"].to_pandas().astype("float")
         doc = t["doc_id"].to_pandas()
         op = t["op"].to_pandas()
         lsn = t["lsn"].to_pandas()
         vh = t["version_hash"].to_pandas()
-        zone_oob = pd.Series(0, index=part.index)
-        stat_cols = {c for st in stats_map.values() for c in st
-                     if c in t.schema.names}
-        col_cache = {c: t[c].to_pandas() for c in stat_cols}  # convert once
-        for pval in part.unique():
-            st = stats_map.get(int(pval))
-            if not st:
+        zone_oob = 0
+        for c, (mn, mx) in stats_map.get(part, {}).items():
+            if c not in t.schema.names:
                 continue
-            mask = part == pval
-            for c, (mn, mx) in st.items():
-                col = col_cache.get(c)
-                if col is None:
-                    continue
-                col = col[mask]
-                try:
-                    bad = col.notna() & ((col < mn) | (col > mx))
-                except TypeError:  # retyped column vs old bound: skip
-                    continue
-                zone_oob[mask] += bad.astype(int)
-        viol = pd.DataFrame(
-            {
-                "part": part,
-                "rows": 1,
-                "ntok_mismatch": (ntok != n_tok_col).fillna(True).astype(int),
-                "bad_doc_id": (doc.isna() | (doc == "")).astype(int),
-                "bad_op": (~op.isin(["I", "U"])).astype(int),
-                "bad_lsn": (lsn.isna() | (lsn < 0)).astype(int),
-                "null_version_hash": vh.isna().astype(int),
-                "zone_map_oob": zone_oob,
-            }
-        )
-        return viol.groupby("part", as_index=False).sum()
+            col = t[c].to_pandas()
+            try:
+                zone_oob += int((col.notna() & ((col < mn) | (col > mx))).sum())
+            except TypeError:  # retyped column vs old bound: skip
+                continue
+        return pd.DataFrame({
+            "part": [part],
+            "rows": [t.num_rows],
+            "ntok_mismatch": [int((ntok != n_tok_col).fillna(True).sum())],
+            "bad_doc_id": [int((doc.isna() | (doc == "")).sum())],
+            "bad_op": [int((~op.isin(["I", "U"])).sum())],
+            "bad_lsn": [int((lsn.isna() | (lsn < 0)).sum())],
+            "null_version_hash": [int(vh.isna().sum())],
+            "zone_map_oob": [zone_oob],
+        })
 
     partials = scan_partitions(
         table_dir, current, fs, current.schema, check).to_pandas()
     if partials.empty:
         return {"rows": 0, "violations": {}, "by_partition": {}}
-    agg = partials.groupby("part").sum()
+    agg = partials.set_index("part").sort_index()
     viol_cols = [c for c in agg.columns if c != "rows"]
     totals = agg[viol_cols].sum()
     return {
@@ -816,8 +794,9 @@ def table_checksums(table_dir: str, fs=None, epoch=None) -> dict:
     (``dataPipelines/gc_ingest/tools/db/utils.py:135-235``) upgraded to
     a comparable-across-layout checksum, reduced inside the tasks of
     :func:`cdc.scan_partitions` (at most one per cluster CPU, each
-    taking its partitions one at a time): the driver sees one 32-byte
-    digest + row count per partition.
+    taking its partitions one at a time): ``fn`` returns one digest row
+    per partition (32-byte XOR + row count; an empty partition returns
+    none), and the driver folds those rows into the table digest.
     """
     import hashlib
 
@@ -836,7 +815,7 @@ def table_checksums(table_dir: str, fs=None, epoch=None) -> dict:
     if current is None or not current.partitions:
         return {"rows": 0, "digest": zero.hex(), "by_partition": {}}
 
-    def digest_rows(t: pa.Table, part_ids) -> pd.DataFrame:
+    def digest_rows(t: pa.Table, part: int) -> pd.DataFrame:
         t = t.combine_chunks()
         n = t.num_rows
         if n == 0:
@@ -880,18 +859,9 @@ def table_checksums(table_dir: str, fs=None, epoch=None) -> dict:
             ),
             dtype=np.uint8,
         ).reshape(n, _DIGEST_BYTES)
-        out = pd.DataFrame({"part": part_ids, "rows": 1})
-        folded = (
-            pd.DataFrame(digests)
-            .groupby(out["part"].to_numpy())
-            .agg(lambda c: np.bitwise_xor.reduce(c.to_numpy().astype(np.uint8)))
-        )
-        counts = out.groupby("part", as_index=True)["rows"].sum()
         return pd.DataFrame({
-            "part": folded.index.astype(int),
-            "rows": counts.loc[folded.index].to_numpy(),
-            "digest": [bytes(np.asarray(r, dtype=np.uint8)).hex()
-                       for r in folded.to_numpy()],
+            "part": [part], "rows": [n],
+            "digest": [bytes(np.bitwise_xor.reduce(digests, axis=0)).hex()],
         })
 
     partials = scan_partitions(
@@ -905,9 +875,7 @@ def table_checksums(table_dir: str, fs=None, epoch=None) -> dict:
             acc ^= np.frombuffer(bytes.fromhex(h), dtype=np.uint8)
         return bytes(acc).hex()
 
-    by_part = partials.groupby("part").agg(
-        rows=("rows", "sum"), digest=("digest", fold_hex)
-    )
+    by_part = partials.set_index("part").sort_index()
     return {
         "rows": int(by_part["rows"].sum()),
         "digest": fold_hex(by_part["digest"]),

@@ -1,12 +1,14 @@
 """Control-plane task pools: one plain, retried Ray task per work item.
 
-The engine's per-partition (and per-file) steps — stage, merge, rewrite,
-restamp, footer scan, join, pack, export totals — each return a small
-control row that the driver folds into a manifest. They run as plain
-Ray tasks rather than a Ray Data execution: the executor's fixed start-up
-cost is larger than the work of a tail commit, and the driver holds every
-row for its fold anyway, so ``ray.get`` over all refs keeps nothing
-extra. Data-plane outputs that feed a Dataset consumer stay on Ray Data.
+The engine's per-partition (and per-file) write steps — stage, merge,
+rewrite, footer scan, join, pack — each return a small control row that
+the driver folds into a manifest. They run as plain Ray tasks rather
+than a Ray Data execution: the executor's fixed start-up cost is larger
+than the work of a tail commit, and the driver holds every row for its
+fold anyway, so ``ray.get`` over all refs keeps nothing extra. Reads of
+committed state (scan, validate, checksums, restamp, training export)
+go through ``cdc.scan_partitions`` instead; data-plane outputs that feed
+a Dataset consumer stay on Ray Data.
 """
 
 from __future__ import annotations

@@ -14,15 +14,20 @@ so the same committed ``(epoch, rev)`` always yields byte-identical
 chunks — across re-runs, and across physical layouts (a merge-on-read
 stack exports the same bytes as its compacted rewrite; tested).
 
-Scale shape: two passes, neither materializes the corpus —
+Scale shape: two passes, each one ``engine/cdc.py::scan_partitions``
+over the committed manifest, neither materializing the corpus —
 
-- pass 1 reads ONLY the skinny merge columns + ``n_tok`` per partition
-  (column projection holds even under merge-on-read) and prefix-sums the
-  O(P) per-partition token totals on the driver;
-- pass 2 re-reads resolved partitions; each document slices itself into
-  chunk pieces at global offsets (numpy, one iteration per doc), and a
-  chunk-range groupby assembles 64 chunks per task
-  (``pipelines/tokens.py::chunk_sized_tokens``, the shared kernel).
+- pass 1 reads ONLY ``(doc_id, n_tok)`` (column projection holds even
+  under merge-on-read: a delta stack adds just the merge columns); each
+  partition returns the token totals of its occupied buckets, and the
+  driver prefix-sums those O(P) rows;
+- pass 2 reads ``(doc_id, tokens, n_tok)``; each partition returns its
+  rows sized and bucketed (typed even when empty), each document slices
+  itself into chunk pieces at global offsets, and a chunk-range groupby
+  assembles 64 chunks per task (``pipelines/tokens.py::
+  chunk_sized_tokens``, the shared kernel).
+
+A table with no live row skips pass 2 and writes only the marker.
 
 Output is partitioned parquet plus an ``_EXPORT.json`` ready marker
 (same consumer-gating pattern as the changelog's ``_MANIFEST.json``):
@@ -36,20 +41,15 @@ import json
 import os
 from typing import Any
 
-import pandas as pd
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from ..state import manifest as mf
 from ..state.fs import StorageAdapter, default_fs
-from .cdc import _load_state
-from .tasks import run_tasks
+from .cdc import _resolve_manifest, scan_partitions
 
 EXPORT_MARKER = "_EXPORT.json"
-
-# skinny pass-1 projection: what LWW resolution needs + the length column
-_SIZE_COLUMNS = ["op", "lsn", "seq", "doc_id", "n_tok"]
 
 # seeded-shuffle bucket count: the groupby keyspace of the packing pass.
 # 256 keeps groups coarse enough to amortize task overhead and fine
@@ -64,8 +64,6 @@ def _seeded_hash(doc_ids, seed: int):
     physical layouts and re-runs; a different seed is a fresh
     permutation — training epochs reshuffle without materializing an
     index."""
-    import numpy as np
-
     from ..core.hashing import fnv1a64
 
     h = fnv1a64(pc.cast(doc_ids, pa.string()))
@@ -74,16 +72,6 @@ def _seeded_hash(doc_ids, seed: int):
         h = h * np.uint64(0xBF58476D1CE4E5B9)
         h = h ^ (h >> np.uint64(31))
     return h
-
-
-def _partition_work(table_dir: str, cur: mf.TableManifest) -> list[dict]:
-    work = []
-    for p in sorted(cur.partitions, key=int):
-        e = cur.partitions[p]
-        rels = mf.entry_rels(e)
-        if rels and e.get("rows"):
-            work.append({"part": int(p), "files": rels})
-    return work
 
 
 def export_training(
@@ -113,7 +101,6 @@ def export_training(
     the only extra cost is hashing doc_ids, and the packing groupby
     exchanges the same bytes it always did)."""
     from ..pipelines.tokens import chunk_sized_tokens
-    from .cdc import _resolve_manifest
 
     fs = default_fs(fs)
     cur = _resolve_manifest(table_dir, epoch, fs)
@@ -133,80 +120,54 @@ def export_training(
         raise FileExistsError(
             f"{out_dir} holds {len(debris)} file(s) from an incomplete "
             "export; remove them or export to a fresh dir")
-    work = _partition_work(table_dir, cur)
-    b64 = cur.schema_b64
+    def read(cols: list[str]) -> pa.Schema:
+        return pa.schema([cur.schema.field(c) for c in cols])
 
-    def totals(item: dict) -> dict:
-        """``{"bucket": [...], "total": [...]}`` token totals of one
-        partition: its own bucket, or its occupied shuffle buckets."""
-        import numpy as np
-
-        schema = mf.schema_from_b64(b64)
-        t = _load_state(table_dir, item["files"], schema, fs,
-                        columns=[c for c in _SIZE_COLUMNS if c in schema.names])
-        if t is None or t.num_rows == 0:
-            return {"bucket": [item["part"]], "total": [0]}
+    def buckets(t: pa.Table, part: int):
+        """(packing bucket, shuffle key or None) of each row: the
+        partition id, or the row's seeded-hash shuffle bucket."""
         if shuffle_seed is None:
-            return {"bucket": [item["part"]],
-                    "total": [int(pc.sum(t["n_tok"]).as_py() or 0)]}
-        # per-SHUFFLE-bucket partial sums: O(256) entries per partition
-        # task, summed across partitions on the driver
-        b = (_seeded_hash(t["doc_id"], shuffle_seed)
-             % np.uint64(_SHUFFLE_BUCKETS)).astype(np.int64)
-        w = pc.cast(t["n_tok"], pa.int64()).to_numpy(zero_copy_only=False)
-        # int64 accumulation: bincount(weights=) sums in float64,
-        # exact only below 2^53 per bucket — not good enough for
-        # the 10^10-doc base offsets this feeds (ADVICE r3)
-        sums = np.zeros(_SHUFFLE_BUCKETS, dtype=np.int64)
-        np.add.at(sums, b, w)
-        # emit every OCCUPIED bucket, not every positive-sum one:
-        # a bucket whose docs all have n_tok=0 still forms a
-        # packing group in pass 2 and needs a base-offset entry
-        occ = np.flatnonzero(np.bincount(b, minlength=_SHUFFLE_BUCKETS))
-        return {"bucket": occ.tolist(), "total": sums[occ].tolist()}
+            return np.full(t.num_rows, part, dtype=np.int64), None
+        h = _seeded_hash(t["doc_id"], shuffle_seed)
+        return (h % np.uint64(_SHUFFLE_BUCKETS)).astype(np.int64), h
 
-    rows = run_tasks(totals, work)  # O(P [× 256 shuffled]) count metadata
-    per_bucket = pd.DataFrame(
-        {k: [v for r in rows for v in r[k]] for k in ("bucket", "total")},
-        dtype="int64").groupby("bucket", as_index=False)["total"].sum()
-    total_tokens = int(per_bucket["total"].sum()) if len(per_bucket) else 0
+    def totals(t: pa.Table, part: int) -> pa.Table:
+        """Token totals of the partition's OCCUPIED buckets (an empty
+        partition occupies none): its own bucket, or up to 256 shuffle
+        buckets, summed across partitions on the driver. A bucket whose
+        docs all have n_tok=0 still forms a packing group in pass 2 and
+        needs a base-offset entry."""
+        occ, inv = np.unique(buckets(t, part)[0], return_inverse=True)
+        # int64 accumulation: bincount(weights=) sums in float64, exact
+        # only below 2^53 per bucket — not enough for the base offsets
+        # of a 10^10-doc corpus
+        w = pc.fill_null(pc.cast(t["n_tok"], pa.int64()), 0).to_numpy()
+        sums = np.zeros(len(occ), dtype=np.int64)
+        np.add.at(sums, inv, w)
+        return pa.table({"bucket": occ, "total": sums})
 
-    def sized(batch: pa.Table) -> pa.Table:
-        import numpy as np
+    # pass 1: O(P [× 256 shuffled]) count rows; tokens are never read
+    rows = scan_partitions(table_dir, cur, fs, read(["doc_id", "n_tok"]),
+                           totals).to_pandas()
+    per_bucket = (None if rows.empty  # no live row anywhere
+                  else rows.groupby("bucket", as_index=False)["total"].sum())
+    total_tokens = int(per_bucket["total"].sum()) if per_bucket is not None else 0
 
-        schema = mf.schema_from_b64(b64)
-        outs = []
-        for row in batch.to_pylist():
-            t = _load_state(table_dir, row["files"], schema, fs)
-            if t is None or t.num_rows == 0:
-                continue
-            cols = {
-                "doc_id": pc.cast(t["doc_id"], pa.string()),
-                "tokens": t["tokens"],
-                "n_tok": pc.cast(t["n_tok"], pa.int64()),
-            }
-            if shuffle_seed is None:
-                cols["bucket"] = pa.array([row["part"]] * t.num_rows, pa.int64())
-            else:
-                h = _seeded_hash(t["doc_id"], shuffle_seed)
-                cols["bucket"] = pa.array(
-                    (h % np.uint64(_SHUFFLE_BUCKETS)).astype(np.int64))
-                cols["skey"] = pa.array(h)
-            outs.append(pa.table(cols))
-        if not outs:
-            empty = {"doc_id": pa.array([], pa.string()),
-                     "tokens": pa.array([], pa.list_(pa.int32())),
-                     "n_tok": pa.array([], pa.int64()),
-                     "bucket": pa.array([], pa.int64())}
-            if shuffle_seed is not None:
-                empty["skey"] = pa.array([], pa.uint64())
-            return pa.table(empty)
-        return pa.concat_tables(outs, promote_options="default")
+    def sized(t: pa.Table, part: int) -> pa.Table:
+        b, h = buckets(t, part)
+        cols = {
+            "doc_id": pc.cast(t["doc_id"], pa.string()),
+            "tokens": t["tokens"],
+            "n_tok": pc.cast(t["n_tok"], pa.int64()),
+            "bucket": pa.array(b),
+        }
+        if h is not None:
+            cols["skey"] = pa.array(h)
+        return pa.table(cols)
 
-    if work:
-        stream = ray.data.from_items(work).map_batches(
-            sized, batch_size=1, batch_format="pyarrow",
-            retry_exceptions=True, max_retries=4)
+    if per_bucket is not None:
+        stream = scan_partitions(table_dir, cur, fs,
+                                 read(["doc_id", "tokens", "n_tok"]), sized)
         order = None if shuffle_seed is None else ["skey", "doc_id"]
         chunks = chunk_sized_tokens(stream, cap, per_bucket=per_bucket,
                                     order_cols=order)

@@ -179,8 +179,9 @@ def test_validate_flags_corrupt_zone_map(tmp_path):
 
 def test_restamp_repairs_backfills_and_tightens(tmp_path):
     """restamp-stats fixes a corrupted bound (validate goes clean again),
-    backfills col_stats on a pre-stats manifest, and tightens MOR-widened
-    bounds to exact — all without touching a data file."""
+    backfills col_stats on a pre-stats manifest, tightens MOR-widened
+    bounds to exact, and empties the bounds of a partition every key was
+    deleted from — all without touching a data file."""
     from dataclasses import replace
 
     from gamechanger_data_ray.engine.maintenance import restamp_stats, validate_table
@@ -210,6 +211,18 @@ def test_restamp_repairs_backfills_and_tightens(tmp_path):
     # bounded reads exact again after the repair
     got = read_table(tb, bounds={"n_tok": (1000, 1009)}).count()
     assert got == 10
+    # (d) emptied: delta deletes of every key in partition 3 leave a
+    # stack that resolves to no row; its corrupt bound must come back {}
+    _apply(tb, 3, _events([("D", k, 0, "x") for k in keys[3]], 3), policy="delta")
+    cur = mf.load_current(tb)
+    assert cur.partitions["3"]["rows"] == 0 and cur.partitions["3"]["deltas"]
+    parts = dict(cur.partitions)
+    parts["3"] = {**parts["3"], "col_stats": {"n_tok": [0, 1]}}
+    assert mf.commit(tb, replace(cur, partitions=parts, rev=cur.rev + 1))
+    m3 = restamp_stats(tb)
+    assert m3.partitions["3"]["col_stats"] == {}
+    assert m3.partitions["3"]["col_sketch"] == {}
+    assert m3.partitions["1"]["col_stats"]["n_tok"] == [1000, 1009]
 
 
 def test_all_null_column_omitted_and_null_rows_excluded(tmp_path):

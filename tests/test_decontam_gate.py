@@ -60,9 +60,7 @@ def _naive_contaminated(payload, bench_seqs, window=L):
 
 
 def _collect(ds) -> pa.Table:
-    import ray
-
-    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    return pa.concat_tables(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
 
 
 def _annotated(tmp_path, events, bench_seqs, **kw):

@@ -111,10 +111,8 @@ def test_diff_matches_full_state_compare(diffed_table):
     from gamechanger_data_ray.core.reconcile import conform, unify_schemas
 
     _, full, _ = diffed_table
-    got = diff_table_epochs(full, 2, 4).to_arrow_refs()
-    import ray
-
-    got = pa.concat_tables([ray.get(r) for r in got])
+    got = pa.concat_tables(diff_table_epochs(full, 2, 4).iter_batches(
+        batch_size=None, batch_format="pyarrow"))
     old_t = table_to_arrow_asof(full, 2)
     new_t = table_to_arrow_asof(full, 4)
     uni = unify_schemas(old_t.schema, new_t.schema)

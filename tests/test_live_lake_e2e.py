@@ -110,9 +110,8 @@ def test_gated_ingest_feeds_subscribed_training_view(tmp_path):
     assert marker is not None and marker["epoch"] == 2
     want = len(base) + len(clean2) + len(clean3)
     assert marker["total_tokens"] == want
-    import ray as _ray
-
-    chunks = pa.concat_tables(_ray.get(read_training_view(tview).to_arrow_refs()))
+    chunks = pa.concat_tables(read_training_view(tview).iter_batches(
+        batch_size=None, batch_format="pyarrow"))
     assert sum(chunks["n_tok"].to_pylist()) == want
     # multiset of tokens in the shards == multiset in the clean corpus
     flat = sorted(x for t in chunks["tokens"].to_pylist() for x in t)

@@ -224,6 +224,25 @@ def test_validate_empty_table(tmp_path, ray_session):
     assert out == {"rows": 0, "violations": {}, "by_partition": {}}
 
 
+def test_cli_leaves_the_callers_ray_session_up(table, ray_session, capsys):
+    """An in-process CLI call runs on the caller's Ray session and leaves
+    it running: ``main`` shuts down only a session it started itself."""
+    import json
+
+    import ray
+
+    from gamechanger_data_ray.__main__ import main
+
+    for argv in (["validate", "--table", table],
+                 ["--num-cpus", "2", "scan", "--table", table]):
+        assert main(argv) == 0
+        assert ray.is_initialized(), argv
+        assert ray.cluster_resources()["CPU"] == 4, argv
+    validated, scanned = map(json.loads, capsys.readouterr().out.splitlines())
+    assert validated["violations"] == {}
+    assert scanned["rows"] == validated["rows"]
+
+
 def test_prune_changelog_respects_laggiest_consumer(tmp_path):
     from gamechanger_data_ray.core.changelog import (
         prune_changelog,

@@ -54,10 +54,9 @@ def _via_ray_data(fn, items):
     def one(batch: pa.Table) -> pa.Table:
         return pa.Table.from_pylist([fn(r) for r in batch.to_pylist()])
 
-    refs = (ray.data.from_items(items)
-            .map_batches(one, batch_size=1, batch_format="pyarrow")
-            .to_arrow_refs())
-    return pa.concat_tables(ray.get(refs)).to_pylist()
+    ds = ray.data.from_items(items).map_batches(one, batch_size=1, batch_format="pyarrow")
+    blocks = ds.iter_batches(batch_size=None, batch_format="pyarrow")
+    return pa.concat_tables(blocks).to_pylist()
 
 
 def test_manifest_matches_the_ray_data_pool(tmp_path, monkeypatch):

@@ -128,6 +128,15 @@ def test_export_as_of_tag_is_frozen(tmp_path):
     assert m1["total_tokens"] == m2["total_tokens"]
     assert m1["epoch"] == m2["epoch"] == 1 and m3["epoch"] == 2
     assert _got_chunks(out3) != _got_chunks(out1)
+    # every doc deleted through merge-on-read deltas: the live table has
+    # zero live rows and exports no chunk, while the tag still exports v1
+    _apply(tb, 3, _events([("D", f"d{i:03d}", []) for i in range(30)], 3),
+           policy="delta")
+    m4 = export_training(tb, str(tmp_path / "o4"), cap=CAP)
+    assert (m4["epoch"], m4["total_tokens"], m4["chunks"]) == (3, 0, 0)
+    m5 = export_training(tb, str(tmp_path / "o5"), cap=CAP, epoch="v1")
+    assert m5["total_tokens"] == m1["total_tokens"]
+    assert _got_chunks(str(tmp_path / "o5")) == _got_chunks(out1)
 
 
 def test_crashed_export_debris_refused(tmp_path):

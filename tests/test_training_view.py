@@ -55,10 +55,8 @@ def _epoch1_rows():
 
 
 def _view_table(out) -> pa.Table:
-    import ray as _ray
-
-    refs = read_training_view(out).to_arrow_refs()
-    t = pa.concat_tables(_ray.get(refs))
+    t = pa.concat_tables(read_training_view(out).iter_batches(
+        batch_size=None, batch_format="pyarrow"))
     return t.take(pa.compute.sort_indices(t, sort_keys=[("chunk_id",
                                                          "ascending")]))
 

@@ -102,15 +102,13 @@ def test_mixture_refresh_equals_fresh(tmp_path, mixed_table):
 
 
 def test_rank_sharded_reader(tmp_path, mixed_table):
-    import ray as _ray
-
     tb = mixed_table
     out = str(tmp_path / "v")
     training_view_refresh(out, tb, cap=CAP, seed=1)
 
     def ids(ds):
         return sorted(
-            i for t in _ray.get(ds.to_arrow_refs())
+            i for t in ds.iter_batches(batch_size=None, batch_format="pyarrow")
             for i in t["chunk_id"].to_pylist())
 
     world = 3
