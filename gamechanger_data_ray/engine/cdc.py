@@ -209,19 +209,23 @@ _INDEX_COLUMNS = ["op", "lsn", "seq", "doc_id"]
 def _load_state(
     table_dir: str, rels: list[str], schema: pa.Schema,
     fs: StorageAdapter, columns: list[str] | None = None,
-    sort_by_key: bool = True,
+    sort_by_key: bool = True, keys: list | None = None,
 ) -> pa.Table | None:
     """A partition's resolved current state — the one partition resolver
     of every committed-state read: base file + any merge-on-read deltas,
     conformed to ``schema`` (projected to ``columns``; a column an older
     file lacks comes back null), LWW-collapsed with tombstones dropped.
     ``sort_by_key=False`` skips the key sort of a multi-file collapse for
-    callers that re-order the rows anyway."""
+    callers that re-order the rows anyway. ``keys`` resolves only those
+    keys (each file read with ``doc_id IN keys``; key-equality filtering
+    commutes with the collapse), so ``rels`` may leave out any file that
+    holds none of them."""
     if not rels:
         return None
     if columns is not None:
         schema = pa.schema([schema.field(c) for c in columns])
-    tabs = [conform(fs.read_parquet(os.path.join(table_dir, r), columns=columns), schema)
+    tabs = [conform(fs.read_parquet(os.path.join(table_dir, r), columns=columns, keys=keys),
+                    schema)
             for r in rels]
     return collapse_deltas(tabs, sort_by_key=sort_by_key)
 
@@ -229,22 +233,24 @@ def _load_state(
 BLOOM_SUFFIX = ".bloom"
 
 
-def _write_bloom_sidecar(merged: pa.Table, base_abs: str, fs: StorageAdapter) -> None:
-    """Per-partition key Bloom sidecar (``<base>.parquet.bloom``): lets a
-    point lookup prove a key DEFINITELY absent from one tiny fixed-size
-    read instead of opening the parquet footer — at P=10k partitions the
-    manifest stays small because the filter lives next to its base file,
-    not in the manifest. Written after (and keyed to) the base: a reader
-    that sees the new base but a stale/missing sidecar only loses the
+def _write_bloom_sidecar(rows: pa.Table, file_abs: str, fs: StorageAdapter) -> None:
+    """Per data file key Bloom sidecar (``<file>.parquet.bloom``), deltas
+    included: lets a point lookup prove a key DEFINITELY absent from one
+    file with one tiny fixed-size read instead of opening its parquet
+    footer — at P=10k partitions the manifest stays small because the
+    filter lives next to its file, not in the manifest. ``rows`` are every
+    row the file holds, a delta's tombstones included, so a delete is
+    never pruned away. Written after (and keyed to) its file: a reader
+    that sees the file but a stale/missing sidecar only loses the
     shortcut, never correctness (no false negatives; sidecar absence =
-    no pruning). Derived data — rewrite overwrites it with its base."""
+    no pruning). Derived data — a rewrite overwrites it with its file."""
     from ..core.bloom import sized_for
     from ..core.hashing import fnv1a64
 
-    bloom = sized_for(max(1, merged.num_rows))
-    if merged.num_rows:
-        bloom.add_many(fnv1a64(pc.cast(merged["doc_id"], pa.string())))
-    fs.atomic_write_bytes(base_abs + BLOOM_SUFFIX, bloom.to_bytes())
+    bloom = sized_for(max(1, rows.num_rows))
+    if rows.num_rows:
+        bloom.add_many(fnv1a64(pc.cast(rows["doc_id"], pa.string())))
+    fs.atomic_write_bytes(file_abs + BLOOM_SUFFIX, bloom.to_bytes())
 
 
 def _stats_fields(rows: pa.Table) -> dict:
@@ -351,7 +357,8 @@ def _merge_one_partition(
     the new base file through :func:`partition_entry`.
 
     ``delta`` (merge-on-read): write ONLY the epoch's combined events as
-    ``delta-eEEEEEE.parquet`` — tombstones included, real (lsn, seq)
+    ``delta-eEEEEEE.parquet`` plus its key sidecar — tombstones
+    included, real (lsn, seq)
     carried, so plain LWW resolves them at read time. The base payload is
     never read or rewritten: write amplification is O(changed keys), not
     O(partition). Lineage counters stay EXACT by merging against a skinny
@@ -388,6 +395,7 @@ def _merge_one_partition(
     out_abs = os.path.join(table_dir, out_rel)
     fs.makedirs(os.path.dirname(out_abs))
     fs.write_parquet_atomic(body, out_abs)
+    _write_bloom_sidecar(body, out_abs, fs)
     # state fields from the skinny index (the FULL alive state, so a later
     # compaction of this stack keeps the same sig); stats and sketch from
     # the delta body only — fold_entry widens them into the previous ones
@@ -1275,25 +1283,30 @@ def routed_partition_files(
     table_dir: str, keys: list, fs: StorageAdapter | None = None,
     epoch: int | str | None = None,
 ) -> list[str]:
-    """The (deduplicated) partition files that can possibly hold ``keys``:
-    re-hash each key with the table's pinned partition count and keep only
-    the matching manifest entries — O(|keys|) files, never a full scan.
-    Per-partition zone maps (``key_min``/``key_max``, written key-sorted)
-    prune further when present; on delta-free partitions the Bloom sidecar
-    (``.parquet.bloom``, written with the base) proves definite absence
-    from one tiny read, so lookups of missing keys touch no parquet at
-    all. Both prunes are advisory — a missing sidecar or empty zone map
-    just means no shortcut."""
+    """The data files that can possibly hold ``keys``, per data file,
+    deltas included: re-hash each key with the table's pinned partition
+    count and keep only the matching manifest entries — O(|keys|)
+    partitions, never a full scan. Per-partition zone maps
+    (``key_min``/``key_max``) prune whole partitions; then each file of a
+    routed partition (base and merge-on-read deltas alike) is dropped
+    when its Bloom sidecar (``<file>.parquet.bloom``) proves every key
+    routed to that partition absent from it, so lookups of missing keys
+    touch no parquet at all. Both prunes are advisory — a missing sidecar
+    or empty zone map just means no shortcut."""
     fs = default_fs(fs)
     current = _resolve_manifest(table_dir, epoch, fs)
     if current is None or not current.partitions:
         return []
-    return _route_files(table_dir, current, keys, fs)
+    return [os.path.join(table_dir, r)
+            for _, rels in _route_files(table_dir, current, keys, fs) for r in rels]
 
 
 def _route_files(table_dir: str, current: mf.TableManifest, keys: list,
-                 fs: StorageAdapter) -> list[str]:
-    """:func:`routed_partition_files` over an already-loaded manifest."""
+                 fs: StorageAdapter) -> list[tuple[list, list[str]]]:
+    """:func:`routed_partition_files` over an already-loaded manifest, per
+    routed partition: ``(its keys, the rels of its files that may hold
+    one)``, files in LWW order. Dropping a file that holds none of a
+    partition's keys is sound: it adds nothing to their LWW collapse."""
     from ..core.bloom import BloomFilter
     from ..core.hashing import fnv1a64
 
@@ -1315,21 +1328,17 @@ def _route_files(table_dir: str, current: mf.TableManifest, keys: list,
         if kmin and kmax and kmin <= kmax:
             if not any(kmin <= str(k) <= kmax for k in ks):
                 continue
-        # bloom prune: only when the base alone is the whole state
-        # (pending deltas may hold keys the base's sidecar never saw)
-        if not entry.get("deltas") and entry.get("file"):
-            sidecar = os.path.join(table_dir, entry["file"] + BLOOM_SUFFIX)
+        hashes = fnv1a64(pa.array([str(k) for k in ks], pa.string()))
+        rels = []
+        for rel in mf.entry_rels(entry):
             try:
-                raw = fs.read_bytes(sidecar)
+                raw = fs.read_bytes(os.path.join(table_dir, rel + BLOOM_SUFFIX))
             except (FileNotFoundError, OSError):
-                raw = None
-            if raw is not None:
-                bloom = BloomFilter.from_bytes(raw)
-                maybe = bloom.contains_many(
-                    fnv1a64(pa.array([str(k) for k in ks], pa.string())))
-                if not maybe.any():
-                    continue
-        out.extend(current.partition_files(table_dir, str(pid)))
+                raw = None  # no sidecar (older file, as-of manifest): read it
+            if raw is None or BloomFilter.from_bytes(raw).contains_many(hashes).any():
+                rels.append(rel)
+        if rels:
+            out.append((ks, rels))
     return out
 
 
@@ -1341,34 +1350,27 @@ def read_keys(
     epoch: int | str | None = None,
 ) -> pa.Table:
     """Hash-routed point lookup: fetch the committed rows for ``keys``
-    by reading ONLY the partitions their hashes route to (the analog of
-    the reference's fetch-doc-by-id path, e.g. the doc-by-filename gets in
-    ``dataPipelines/gc_ingest/tools/load/utils.py``) with parquet
-    ``doc_id IN (...)`` pushdown inside each file. Deleted keys are simply
-    absent (rewrite compacts tombstones on write; merge-on-read deltas are
-    LWW-resolved here — key-equality filtering commutes with the merge, so
-    the pushdown stays sound). Result is bounded by ``len(keys)`` rows,
-    returned driver-side and key-sorted.
+    by reading ONLY the data files their hashes and the key sidecars
+    route to, per data file, deltas included (the analog of the
+    reference's fetch-doc-by-id path, e.g. the doc-by-filename gets in
+    ``dataPipelines/gc_ingest/tools/load/utils.py``). Each routed
+    partition's surviving files are resolved by :func:`_load_state` with
+    ``doc_id IN (...)`` pushed into each file's row-group selection.
+    Deleted keys are simply absent (rewrite compacts tombstones on write;
+    merge-on-read tombstones are LWW-resolved with the rest). Result is
+    bounded by ``len(keys)`` rows, returned driver-side and key-sorted.
 
     ``epoch`` (an int or a snapshot tag name) answers the point lookup
     AS OF that retained manifest — "what did this doc look like in the
     v3 training release" — at the same O(|keys|) cost."""
-    import pyarrow.dataset as pads
-
     fs = default_fs(fs)
     current = _resolve_manifest(table_dir, epoch, fs)
     if current is None or not current.partitions:
         return pa.table({})
-    files = _route_files(table_dir, current, keys, fs)
     schema = current.schema
-    if not files:
-        return conform(pa.table({}), schema).slice(0, 0)
-    flt = pads.field("doc_id").isin(keys)
-    tabs = [
-        conform(pads.dataset(f, filesystem=fs.fs).to_table(filter=flt), schema)
-        for f in files
-    ]
-    t = collapse_deltas(tabs)
+    tabs = [_load_state(table_dir, rels, schema, fs, sort_by_key=False, keys=ks)
+            for ks, rels in _route_files(table_dir, current, keys, fs)]
+    t = pa.concat_tables(tabs) if tabs else schema.empty_table()
     if columns:
         t = t.select(columns)
     if t.num_rows:

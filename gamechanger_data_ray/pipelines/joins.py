@@ -13,6 +13,8 @@ Two strategies (SURVEY.md §2.5; ray_guide.md "Joins and lookups"):
 
 from __future__ import annotations
 
+import weakref
+
 import pandas as pd
 import pyarrow as pa
 import ray.data
@@ -25,6 +27,11 @@ _BUCKET = "_join_bucket"
 
 
 _NATIVE_JOIN_TYPES = {"inner", "left_outer", "right_outer", "full_outer"}
+
+# output schema of every live bucketed_hash_join Dataset, built on the
+# driver with its plan: asking the Dataset instead would execute the whole
+# upstream plan (sort included) just to learn it
+_JOIN_SCHEMAS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def hash_join(
@@ -100,7 +107,12 @@ def _arrow_schema(ds: ray.data.Dataset) -> pa.Schema:
     (``from_pandas`` without an intervening Arrow op) report numpy
     dtypes, which are mapped through ``pa.from_numpy_dtype`` — with
     ``object`` columns resolved from a one-row Arrow batch sample (the
-    dtype alone can't distinguish string from list payloads)."""
+    dtype alone can't distinguish string from list payloads). A
+    :func:`bucketed_hash_join` output answers from the schema recorded
+    when it was built, without executing anything."""
+    known = _JOIN_SCHEMAS.get(ds)
+    if known is not None:
+        return known
     s = ds.schema()
     base = getattr(s, "base_schema", None)
     if isinstance(base, pa.Schema):
@@ -210,4 +222,6 @@ def bucketed_hash_join(
         cols = [pa.array(m[f.name], type=f.type, from_pandas=True) for f in target]
         return pa.Table.from_arrays(cols, schema=target)
 
-    return l.union(r).groupby(_BUCKET).map_groups(join_bucket, batch_format="pyarrow")
+    out = l.union(r).groupby(_BUCKET).map_groups(join_bucket, batch_format="pyarrow")
+    _JOIN_SCHEMAS[out] = out_schema
+    return out

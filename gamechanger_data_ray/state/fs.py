@@ -36,6 +36,7 @@ import posixpath
 import uuid
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.fs as pafs
 import pyarrow.parquet as pq
 
@@ -129,17 +130,31 @@ class StorageAdapter:
 
     # -- parquet ------------------------------------------------------------
 
-    def read_parquet(self, path: str, columns: list[str] | None = None) -> pa.Table:
-        """The whole file, or just ``columns``. A projected name the file
-        lacks (it predates a schema evolution) is skipped — ``conform``
-        null-fills it — and the footer and the columns come from one
-        open."""
-        if columns is None:
-            return pq.read_table(path, filesystem=self.fs)
+    def read_parquet(
+        self, path: str, columns: list[str] | None = None, keys: list | None = None,
+    ) -> pa.Table:
+        """One data file, or just ``columns`` of it, from one open and on
+        the calling thread: every engine read is one partition's file,
+        inside a one-CPU task or a driver-side lookup, so Arrow's thread
+        pool would only add CPU. A projected name the file lacks (it
+        predates a schema evolution) is skipped — ``conform`` null-fills
+        it.
+
+        ``keys`` keeps only the rows whose ``doc_id`` is one of them: only
+        the row groups whose ``doc_id`` min/max can hold a key are read
+        (the footer pushdown a point lookup needs once files hold many row
+        groups), then the rows are filtered exactly."""
         with self.fs.open_input_file(path) as f:
             pf = pq.ParquetFile(f)
-            have = set(pf.schema_arrow.names)
-            return pf.read(columns=[c for c in columns if c in have])
+            if columns is not None:
+                have = set(pf.schema_arrow.names)
+                columns = [c for c in columns if c in have]
+            if keys is None:
+                return pf.read(columns=columns, use_threads=False)
+            values = pa.array(keys, type=pf.schema_arrow.field("doc_id").type)
+            groups = _row_groups_holding(pf.metadata, values.to_pylist())
+            t = pf.read_row_groups(groups, columns=columns, use_threads=False)
+            return t.filter(pc.is_in(t["doc_id"], value_set=values))
 
     def read_parquet_schema(self, path: str) -> pa.Schema:
         return pq.read_schema(path, filesystem=self.fs)
@@ -159,6 +174,24 @@ class StorageAdapter:
             self.fs.move(tmp, path)
         else:
             pq.write_table(table, path, filesystem=self.fs, **kw)
+
+
+def _row_groups_holding(meta: pq.FileMetaData, keys: list) -> list[int]:
+    """Row groups whose ``doc_id`` statistics admit one of ``keys``; a
+    group without min/max (or with bounds that do not compare) is kept."""
+    col = [meta.schema.column(i).path for i in range(meta.num_columns)].index("doc_id")
+    out = []
+    for g in range(meta.num_row_groups):
+        st = meta.row_group(g).column(col).statistics
+        if st is None or not st.has_min_max:
+            out.append(g)
+            continue
+        try:
+            if any(st.min <= k <= st.max for k in keys):
+                out.append(g)
+        except TypeError:
+            out.append(g)
+    return out
 
 
 LOCAL = StorageAdapter()

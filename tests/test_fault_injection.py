@@ -109,13 +109,13 @@ def test_scan_retries_flaky_storage_reads(tmp_path):
     os.makedirs(marker_dir)
 
     class FlakyReads(StorageAdapter):
-        def read_parquet(self, path, columns=None):
+        def read_parquet(self, path, columns=None, keys=None):
             marker = os.path.join(marker_dir, f"pid-{os.getpid()}")
             if not os.path.exists(marker):
                 with open(marker, "w") as f:
                     f.write("failed once")
                 raise OSError("injected transient read failure")
-            return StorageAdapter.read_parquet(self, path, columns)
+            return StorageAdapter.read_parquet(self, path, columns, keys)
 
     clean = table_checksums(tb)
     assert table_checksums(tb, fs=FlakyReads()) == clean

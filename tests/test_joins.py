@@ -89,3 +89,33 @@ def test_semi_and_anti_join_match_pandas(ray_session):
     # left columns only, unchanged dtypes, right keys never multiply rows
     assert list(got_semi.columns) == ["k", "a"]
     assert len(got_semi) + len(got_anti) == len(left)
+
+
+def test_chained_bucketed_join_learns_schema_without_running_upstream(ray_session, tmp_path):
+    """A join output knows its schema on the driver: building a second join
+    on it runs none of the first join's upstream plan (each upstream batch
+    call leaves a marker file), and the chain still equals pandas."""
+    import os
+    import uuid
+
+    calls = tmp_path / "calls"
+    calls.mkdir()
+
+    def mark(b: pa.Table) -> pa.Table:
+        (calls / uuid.uuid4().hex).touch()
+        return b
+
+    rng = np.random.default_rng(5)
+    pairs = pd.DataFrame({"id_a": rng.integers(0, 60, 400), "id_b": rng.integers(0, 60, 400)})
+    size_a = pd.DataFrame({"id_a": np.arange(60), "sa": np.arange(60) * 3})
+    size_b = pd.DataFrame({"id_b": np.arange(60), "sb": np.arange(60) * 7})
+    up = _ds(pairs).map_batches(mark, batch_format="pyarrow")
+    j = bucketed_hash_join(up, _ds(size_a), on="id_a", num_buckets=4)
+    before = len(os.listdir(calls))
+    j2 = bucketed_hash_join(j, _ds(size_b), on="id_b", num_buckets=4)
+    assert len(os.listdir(calls)) == before
+    want = pairs.merge(size_a, on="id_a").merge(size_b, on="id_b")
+    cols = ["id_a", "id_b", "sa", "sb"]
+    got = j2.to_pandas()[cols].sort_values(cols).reset_index(drop=True).astype("int64")
+    pd.testing.assert_frame_equal(
+        got, want[cols].sort_values(cols).reset_index(drop=True).astype("int64"))

@@ -254,3 +254,162 @@ def test_compaction_writes_sidecar_and_bloom_prunes_after(tmp_path):
     assert bases and all(os.path.exists(b + ".bloom") for b in bases)
     k = _absent_inrange_key(td)
     assert routed_partition_files(td, [k]) == []
+
+
+@pytest.fixture(scope="module")
+def mor_table(tmp_path_factory):
+    """A copy-on-write base (epoch 1) under three merge-on-read delta
+    commits (epochs 2-4), one manifest per epoch."""
+    root = tmp_path_factory.mktemp("lookup_mor")
+    cd, td = str(root / "cl"), str(root / "tb")
+    write_changelog(cd, num_epochs=4, events_per_epoch=200, num_keys=300, seed=21)
+    replay(cd, td, num_partitions=4, up_to_epoch=1)
+    replay(cd, td, num_partitions=4, epochs_per_commit=1, merge_policy="delta")
+    return td
+
+
+def _counting_fs():
+    from gamechanger_data_ray.state.fs import StorageAdapter
+
+    class CountingReads(StorageAdapter):
+        def read_parquet(self, path, columns=None, keys=None):
+            self.opened.append(path)
+            return StorageAdapter.read_parquet(self, path, columns, keys)
+
+    fs = CountingReads()
+    fs.opened = []
+    return fs
+
+
+def _delta_keys(td, entry):
+    import os
+
+    import pyarrow.parquet as pq
+
+    return {k for d in entry["deltas"]
+            for k in pq.read_table(os.path.join(td, d), columns=["doc_id"])["doc_id"].to_pylist()}
+
+
+def _routed_entry(td, key):
+    from gamechanger_data_ray.core.hashing import partition_ids
+    from gamechanger_data_ray.state import manifest as mf
+
+    cur = mf.load_current(td)
+    pid = partition_ids(pa.array([key]), cur.num_partitions).to_pylist()[0]
+    return cur.partitions[str(pid)]
+
+
+def test_lookup_opens_no_delta_that_lacks_the_keys(mor_table):
+    """Keys held only by the base of a partition with three pending deltas
+    open the base and none of the deltas; the rows are unchanged."""
+    import os
+
+    full = table_to_arrow(mor_table)
+    entry = _routed_entry(mor_table, full["doc_id"][0].as_py())
+    assert len(entry["deltas"]) == 3
+    in_deltas = _delta_keys(mor_table, entry)
+    keys = [k for k in full["doc_id"].to_pylist()
+            if k not in in_deltas and _routed_entry(mor_table, k) == entry][:4]
+    assert len(keys) == 4
+    fs = _counting_fs()
+    got = read_keys(mor_table, keys, fs=fs)
+    assert fs.opened == [os.path.join(mor_table, entry["file"])]
+    assert got.equals(full.filter(pc.field("doc_id").isin(keys)))
+
+
+def test_missed_key_on_delta_stack_opens_no_parquet(mor_table):
+    """An absent key routed to a partition with pending deltas: every
+    file's sidecar, deltas included, rules it out, so nothing is opened."""
+    k = _absent_inrange_key(mor_table)
+    assert _routed_entry(mor_table, k).get("deltas")
+    fs = _counting_fs()
+    assert read_keys(mor_table, [k], fs=fs).num_rows == 0
+    assert fs.opened == []
+    assert routed_partition_files(mor_table, [k]) == []
+
+
+def test_lookup_without_delta_sidecars_is_identical(mor_table, tmp_path):
+    """Delta files without sidecars (older tables, as-of manifests) are
+    read, not pruned: current and as-of lookups answer identically."""
+    import glob
+    import os
+    import shutil
+
+    td = str(tmp_path / "nosc")
+    shutil.copytree(mor_table, td)
+    gone = glob.glob(os.path.join(td, "part=*", "delta-e*.parquet.bloom"))
+    assert len(gone) == 12  # every delta of the 4 partitions x 3 commits
+    for s in gone:
+        os.remove(s)
+    full = table_to_arrow(mor_table)["doc_id"].to_pylist()
+    keys = full[::9] + [_absent_inrange_key(mor_table), "no-such-doc"]
+    for epoch in (None, 2, 3):
+        want = read_keys(mor_table, keys, epoch=epoch)
+        assert want.num_rows > 0
+        assert read_keys(td, keys, epoch=epoch).equals(want)
+
+
+def test_tombstone_only_delta_row_hides_the_key(mor_table, tmp_path):
+    """A key whose only delta row is a tombstone: the delta's sidecar
+    admits the key, so the tombstone is read and the key is gone."""
+    import os
+    import shutil
+
+    import ray
+
+    from gamechanger_data_ray.engine.cdc import apply_events_dataset
+    from gamechanger_data_ray.state.manifest import committed_epoch
+
+    td = str(tmp_path / "tomb")
+    shutil.copytree(mor_table, td)
+    # a key strictly inside its partition's key range, so the range left
+    # after the delete still routes it and only the delta can hide it
+    k = next(k for k in table_to_arrow(td)["doc_id"].to_pylist()
+             if _routed_entry(td, k)["key_min"] < k < _routed_entry(td, k)["key_max"])
+    assert read_keys(td, [k]).num_rows == 1
+    ev = pa.table({"op": ["D"], "lsn": pa.array([10**9], pa.int64()),
+                   "seq": pa.array([0], pa.int64()), "doc_id": [k]})
+    e = committed_epoch(td) + 1
+    apply_events_dataset(ray.data.from_arrow(ev), td, e, ev.schema, num_partitions=4,
+                         merge_policy="delta")
+    delta = _routed_entry(td, k)["deltas"][-1]
+    assert delta.endswith(f"delta-e{e:06d}.parquet")
+    assert os.path.exists(os.path.join(td, delta + ".bloom"))
+    assert os.path.join(td, delta) in routed_partition_files(td, [k])
+    assert read_keys(td, [k]).num_rows == 0
+    assert read_keys(td, [k], epoch=e - 1).num_rows == 1
+
+
+def test_row_group_key_selection_matches_full_file_filter(table, tmp_path):
+    """Files rewritten with small row groups (the clustered rewrite's
+    ``row_group_rows``): reading a file with ``keys`` selects row groups
+    on their doc_id min/max and returns exactly the full-file filter."""
+    import os
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from gamechanger_data_ray.engine.maintenance import cluster_table
+    from gamechanger_data_ray.state import manifest as mf
+    from gamechanger_data_ray.state.fs import StorageAdapter, _row_groups_holding
+
+    td = str(tmp_path / "rg")
+    shutil.copytree(table, td)
+    cluster_table(td, by="doc_id", row_group_rows=4)
+    full = table_to_arrow(td)
+    keys = full["doc_id"].to_pylist()[::11] + ["no-such-doc"]
+    fs = StorageAdapter()
+    skipped = 0
+    for e in mf.load_current(td).partitions.values():
+        f = os.path.join(td, e["file"])
+        meta = pq.ParquetFile(f).metadata
+        assert meta.num_row_groups > 1
+        whole = fs.read_parquet(f)
+        got = fs.read_parquet(f, keys=keys)
+        assert got.equals(whole.filter(pc.is_in(whole["doc_id"], pa.array(keys))))
+        one = fs.read_parquet(f, keys=whole["doc_id"][:1].to_pylist())
+        assert one.equals(whole.slice(0, 1))
+        skipped += meta.num_row_groups - len(
+            _row_groups_holding(meta, whole["doc_id"][:1].to_pylist()))
+    assert skipped > 0
+    assert read_keys(td, keys).equals(full.filter(pc.field("doc_id").isin(keys)))

@@ -163,6 +163,9 @@ def test_vacuum_after_compact_drops_old_deltas(tables, tmp_path):
     res = vacuum(td, keep_epochs=1)
     assert res["files_deleted"] > 0
     assert not glob.glob(os.path.join(td, "part=*", "delta-e*.parquet"))
+    # compacted-away deltas lose their key sidecars with them
+    assert glob.glob(os.path.join(morr, "part=*", "delta-e*.parquet.bloom"))
+    assert not glob.glob(os.path.join(td, "part=*", "delta-e*.parquet.bloom"))
     assert table_to_arrow(td).equals(before)
 
 
@@ -267,6 +270,10 @@ def test_vacuum_keeps_pending_deltas(tables, tmp_path):
     assert glob.glob(os.path.join(td, "part=*", "delta-e*.parquet")), (
         "vacuum must not delete deltas the current manifest references"
     )
+    # pending deltas keep their key sidecars
+    pending = [os.path.join(td, d) for e in mf.load_current(td).partitions.values()
+               for d in e.get("deltas", ())]
+    assert pending and all(os.path.exists(d + ".bloom") for d in pending)
     assert table_to_arrow(td).equals(before)
 
 
