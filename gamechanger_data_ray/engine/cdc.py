@@ -2,26 +2,37 @@
 
 Pipeline per epoch batch (all streaming, zero-copy Arrow batches):
 
-    read_parquet(epoch files)
-      → map_batches(normalize)        # conform to unified schema, partial
-                                      # LWW reduce (combiner), add part col
-      → EXCHANGE on hash(doc_id)%P    # the engine's ONE shuffle (staged)
-      → merge per partition           # one plain task each: read current
-                                      # state, LWW merge, write deterministic
+    stage per input unit              # one task per changelog file or
+                                      # Dataset block: conform to unified
+                                      # schema, partial LWW reduce
+                                      # (combiner), hash(doc_id)%P, write
+                                      # ONE Arrow IPC file, one record
+                                      # batch per touched partition
+      → EXCHANGE on hash(doc_id)%P    # the engine's ONE shuffle (staged):
+                                      # the driver routes (file, batch)
+                                      # pairs to each partition
+      → merge per partition           # one plain task each: read its routed
+                                      # batches + current state, LWW merge,
+                                      # write deterministic
                                       # data-eEEEEEE.parquet, return one
                                       # entry row (partition_entry)
       → driver fold                   # rows fold into the manifest
                                       # (fold_entry), committed atomically
 
-The exchange is staged: the combiner output is written as per-partition
-Parquet to an ephemeral staging dir, then P merge tasks each read exactly
-their partition's staged files — a disk-mediated hash shuffle
-(Spark-style shuffle files on the shared store). It scales with per-node
-disk bandwidth, sidesteps the single plasma-store bottleneck, and makes a
-crashed exchange trivially restartable. Two inputs feed it: a changelog
-FILE list (one fused read+normalize+partition+write task per file, see
-:func:`make_file_stager`) or a change-event Dataset
-(``write_parquet(partition_cols=[_part])``).
+The exchange is staged, with the map-output layout of a sort-based
+shuffle: each stage task sorts its combiner output by partition and
+writes one Arrow IPC file to an ephemeral staging dir, whose batch ``i``
+is its ``i``-th touched partition, and returns ``{"file", "parts"}``. The
+driver turns those rows into one merge item per touched partition
+listing exactly the ``(file, i)`` batches it reads — no listing of the
+staging dir, and O(F) staged files per commit for F inputs, not
+O(F·P). Staged batches are Arrow's own columnar buffers, so the exchange
+never re-encodes the rows. It scales with per-node disk bandwidth,
+sidesteps the single plasma-store bottleneck, and makes a crashed
+exchange trivially restartable. Two inputs feed the same stage function
+(:func:`make_stager`): a changelog FILE list (one fused
+read+stage task per file) or a change-event Dataset
+(``map_batches(stage_block, batch_size=None)``).
 
 Scale properties:
 - the combiner collapses duplicate/hot-key events per batch BEFORE the
@@ -416,24 +427,8 @@ def _combine(batch: pa.Table, update_mode: str) -> pa.Table:
     return lww_reduce_weighted(batch)
 
 
-def make_normalizer(unified_b64: str, num_partitions: int,
-                    renames: dict[str, str] | None = None,
-                    update_mode: str = "replace"):
-    """Stateless map_batches fn: rename → conform → partial reduce →
-    add part."""
-    def normalize(batch: pa.Table) -> pa.Table:
-        schema = mf.schema_from_b64(unified_b64)
-        batch = conform(rename_table(batch, renames), schema)
-        batch = _combine(batch, update_mode)
-        part = partition_ids(batch["doc_id"], num_partitions)
-        return batch.append_column(PART_COLUMN, pc.cast(part, pa.int32()))
-
-    return normalize
-
-
 def make_staged_merger(
     table_dir: str,
-    staging_dir: str,
     epoch: int,
     unified_b64: str,
     state_files: dict[int, list[str]],
@@ -442,12 +437,13 @@ def make_staged_merger(
     update_mode: str = "replace",
 ):
     """Merge task for the staged exchange, one plain task per touched
-    partition (see :func:`~.tasks.run_tasks`): the item ``{"part": K}``
-    names the partition; the task reads its staged files (already
-    conformed + weight-carrying) plus its current state (base + pending
-    deltas), merges under the given policy, writes the deterministic
-    output file and returns the partition's entry row (see
-    :func:`_merge_one_partition`). All I/O routes through the
+    partition (see :func:`~.tasks.run_tasks`): the item ``{"part": K,
+    "staged": [(file, i), ...]}`` names the partition and the IPC record
+    batches the driver routed to it; the task reads exactly those batches
+    (already conformed + weight-carrying; nothing is listed) plus its
+    current state (base + pending deltas), merges under the given policy,
+    writes the deterministic output file and returns the partition's
+    entry row (see :func:`_merge_one_partition`). All I/O routes through the
     StorageAdapter (picklable; carried into the task closure) so the
     merge runs against any pyarrow filesystem; publication is
     atomic-rename on POSIX, atomic-PUT on object stores — concurrent/stale
@@ -456,10 +452,8 @@ def make_staged_merger(
 
     def merge_staged(item: dict) -> dict:
         part = item["part"]
-        staged = fs.list_files(
-            os.path.join(staging_dir, f"{PART_COLUMN}={part}"), suffix=".parquet")
         events = pa.concat_tables(
-            [fs.read_parquet(f) for f in staged], promote_options="default")
+            [fs.read_arrow_batch(f, i) for f, i in item["staged"]], promote_options="default")
         return _merge_one_partition(
             part, events, state_files.get(part, []), table_dir, epoch,
             mf.schema_from_b64(unified_b64), policy, fs, update_mode)
@@ -467,7 +461,7 @@ def make_staged_merger(
     return merge_staged
 
 
-def make_file_stager(
+def make_stager(
     staging_dir: str,
     unified_b64: str,
     num_partitions: int,
@@ -475,49 +469,46 @@ def make_file_stager(
     renames: dict[str, str] | None = None,
     update_mode: str = "replace",
 ):
-    """Fused map-side shuffle write, one plain task per CHANGELOG FILE
-    (see :func:`~.tasks.run_tasks`): read → conform → weighted LWW
-    combine → hash-partition → write one staged parquet per touched
-    partition, all inside the task, which returns ``{"parts": [...]}``,
-    the partitions it staged. The payload goes disk→CPU→disk with ZERO
-    plasma hops, where the generic Dataset path pays two (read-task put +
-    write-task get). Staged names are deterministic per (input file,
-    part), so a retried task overwrites its own output byte-identically
-    (idempotent).
+    """The exchange's map side, the one stage function of both inputs:
+    ``stage(t, name)`` takes one input unit's events — a whole changelog
+    FILE, read inside its own plain task (see :func:`~.tasks.run_tasks`),
+    or one Dataset block — and runs rename → conform → weighted LWW
+    combine → hash-partition → sort by partition, then writes ONE Arrow
+    IPC file ``<staging_dir>/<name>.arrow`` holding one record batch per
+    touched partition, in partition order. It returns ``{"file": path,
+    "parts": [K, ...]}`` — batch ``i`` of ``file`` is partition
+    ``parts[i]`` — or ``{"file": "", "parts": []}`` when no event is left
+    (nothing written).
 
-    This is also the better combiner: the unit of combination is a whole
-    changelog file rather than a read block, so hot keys collapse over a
-    larger window before the exchange."""
+    For a file, the payload goes disk→CPU→disk with ZERO plasma hops, and
+    the staged name (``<epoch dir>-<stem>``) is deterministic, so a
+    retried task overwrites its own output byte-identically. A block has
+    no stable index and is staged under a fresh uuid name: the driver
+    routes only the files the successful attempts returned, so a retried
+    attempt's orphan is never read and goes with the staging dir.
+
+    The file is also the better combiner unit: hot keys collapse over a
+    whole changelog file rather than a read block before the exchange."""
     fs = default_fs(fs)
 
-    def stage_file(item: dict) -> dict:
-        path = item["path"]
-        schema = mf.schema_from_b64(unified_b64)
-        t = conform(rename_table(fs.read_parquet(path), renames), schema)
+    def stage(t: pa.Table, name: str) -> dict:
+        t = conform(rename_table(t, renames), mf.schema_from_b64(unified_b64))
         t = _combine(t, update_mode)
+        if t.num_rows == 0:
+            return {"file": "", "parts": []}
         part = pc.cast(partition_ids(t["doc_id"], num_partitions), pa.int32())
         order = pc.sort_indices(part)
         t = t.take(order)
         pvals = part.take(order).to_numpy(zero_copy_only=False)
-        # contiguous runs per partition → one slice + one write each
+        # contiguous runs per partition → one record batch each
         bounds = np.flatnonzero(np.diff(pvals)) + 1
         starts = np.concatenate(([0], bounds))
         ends = np.concatenate((bounds, [len(pvals)]))
-        stem = os.path.splitext(os.path.basename(path))[0]
-        parent = os.path.basename(os.path.dirname(path))  # epoch=NNNNNN
-        parts = []
-        for s0, e0 in zip(starts, ends):
-            if e0 == s0:
-                continue
-            k = int(pvals[s0])
-            d = os.path.join(staging_dir, f"{PART_COLUMN}={k}")
-            fs.makedirs(d)
-            fs.write_parquet_atomic(t.slice(s0, e0 - s0),
-                                    os.path.join(d, f"{parent}-{stem}.parquet"))
-            parts.append(k)
-        return {"parts": parts}
+        out = os.path.join(staging_dir, f"{name}.arrow")
+        fs.write_arrow_batches(out, [t.slice(s0, e0 - s0) for s0, e0 in zip(starts, ends)])
+        return {"file": out, "parts": [int(pvals[s0]) for s0 in starts]}
 
-    return stage_file
+    return stage
 
 
 def apply_epoch(
@@ -614,10 +605,12 @@ def apply_events_dataset(
     the new directory); on an existing table the committed manifest's
     list always wins.
 
-    ``events_ds`` is a change-event Dataset, or a list of parquet FILE
-    PATHS, in which case staging fuses
-    read+normalize+partition+write into one task per file (zero plasma
-    hops for the payload; see :func:`make_file_stager`).
+    ``events_ds`` is a change-event Dataset, staged one block per
+    ``map_batches`` call, or a list of parquet FILE PATHS, staged one
+    fused read+stage task per file (zero plasma hops for the payload).
+    Either way each stage call writes one Arrow IPC file and the driver
+    routes its record batches to the merge tasks (see :func:`make_stager`
+    and :func:`make_staged_merger`).
 
     ``merge_policy="rewrite"`` (default) is copy-on-write: each touched
     partition's base file is fully rewritten (and any pending deltas are
@@ -681,33 +674,41 @@ def apply_events_dataset(
     staging = os.path.join(
         table_dir, "_staging", f"epoch-{epoch:06d}-{uuid.uuid4().hex}"
     )
-    fs.rmtree(staging)  # (fresh name — a no-op guard)
+    fs.makedirs(staging)  # once, for every stage task
     _t_stage = _time_mod.perf_counter()
+    stage = make_stager(staging, unified_b64, num_partitions, fs=fs,
+                        renames=renames, update_mode=update_mode)
     if isinstance(events_ds, (list, tuple)):
-        stage_rows = run_tasks(
-            make_file_stager(staging, unified_b64, num_partitions, fs=fs,
-                             renames=renames, update_mode=update_mode),
-            [{"path": p} for p in events_ds])
-        touched = sorted({p for r in stage_rows for p in r["parts"]})
+        def stage_file(item: dict) -> dict:
+            path = item["path"]
+            parent = os.path.basename(os.path.dirname(path))  # epoch=NNNNNN
+            stem = os.path.splitext(os.path.basename(path))[0]
+            return stage(fs.read_parquet(path), f"{parent}-{stem}")
+
+        stage_rows = run_tasks(stage_file, [{"path": p} for p in events_ds])
     else:
-        events_ds.map_batches(
-            make_normalizer(unified_b64, num_partitions, renames=renames,
-                            update_mode=update_mode),
-            batch_format="pyarrow",
-            # normalize is pure and the sink idempotent: a retry is safe
-            retry_exceptions=True,
-            max_retries=4,
-        ).write_parquet(staging, partition_cols=[PART_COLUMN], filesystem=fs.fs)
-        touched = sorted(
-            int(d.split("=", 1)[1])
-            for d in fs.listdir(staging)
-            if d.startswith(PART_COLUMN + "=")
-        )
+        def stage_block(block: pa.Table) -> pa.Table:
+            r = stage(block, f"block-{uuid.uuid4().hex}")
+            return pa.table({"file": [r["file"]],
+                             "parts": pa.array([r["parts"]], pa.list_(pa.int32()))})
+
+        stage_rows = events_ds.map_batches(
+            stage_block, batch_size=None, batch_format="pyarrow",
+            # stage is pure and unreturned files are never read: a retry is safe
+            retry_exceptions=True, max_retries=4,
+        ).take_all()
+    # route: partition K merges batch i of every file whose parts[i] == K,
+    # files in name order
+    staged: dict[int, list[tuple[str, int]]] = {}
+    for r in sorted(stage_rows, key=lambda r: r["file"]):
+        for i, k in enumerate(r["parts"]):
+            staged.setdefault(int(k), []).append((r["file"], i))
     _t_merge = _time_mod.perf_counter()
     counter_rows = run_tasks(
-        make_staged_merger(table_dir, staging, epoch, unified_b64, state_files,
+        make_staged_merger(table_dir, epoch, unified_b64, state_files,
                            policy=merge_policy, fs=fs, update_mode=update_mode),
-        [{"part": p} for p in touched])  # empty epoch: no task, manifest still advances
+        # empty epoch: no task, manifest still advances
+        [{"part": k, "staged": staged[k]} for k in sorted(staged)])
     fs.rmtree(staging)
     _t_done = _time_mod.perf_counter()
 
@@ -1358,7 +1359,9 @@ def read_keys(
     ``doc_id IN (...)`` pushed into each file's row-group selection.
     Deleted keys are simply absent (rewrite compacts tombstones on write;
     merge-on-read tombstones are LWW-resolved with the rest). Result is
-    bounded by ``len(keys)`` rows, returned driver-side and key-sorted.
+    bounded by ``len(keys)`` rows, returned driver-side and key-sorted;
+    ``columns`` projects it, and each file is read for those columns plus
+    the key and LWW bookkeeping (``doc_id, lsn, seq, op``) only.
 
     ``epoch`` (an int or a snapshot tag name) answers the point lookup
     AS OF that retained manifest — "what did this doc look like in the
@@ -1368,14 +1371,14 @@ def read_keys(
     if current is None or not current.partitions:
         return pa.table({})
     schema = current.schema
-    tabs = [_load_state(table_dir, rels, schema, fs, sort_by_key=False, keys=ks)
+    need = ([n for n in schema.names if n in {*columns, "doc_id", "lsn", "seq", "op"}]
+            if columns else None)
+    tabs = [_load_state(table_dir, rels, schema, fs, columns=need, sort_by_key=False, keys=ks)
             for ks, rels in _route_files(table_dir, current, keys, fs)]
     t = pa.concat_tables(tabs) if tabs else schema.empty_table()
-    if columns:
-        t = t.select(columns)
     if t.num_rows:
         t = t.take(pc.sort_indices(t, sort_keys=[("doc_id", "ascending")]))
-    return t
+    return t.select(columns) if columns else t
 
 
 def table_to_arrow(table_dir: str, sort_by_key: bool = True) -> pa.Table:

@@ -98,16 +98,25 @@ class StorageAdapter:
         with self.fs.open_input_stream(path) as f:
             return f.read()
 
-    def atomic_write_bytes(self, path: str, data: bytes) -> None:
-        """Binary twin of :meth:`atomic_write_text` (same commit split)."""
+    def _publish(self, path: str, write, tag: str = "tmp") -> None:
+        """Run ``write(p)`` so that ``path`` appears all-or-nothing: into an
+        attempt-unique ``<path>.<tag>-<uuid>`` then an atomic rename on
+        POSIX, directly to ``path`` on an object store (see module
+        docstring)."""
         if self.atomic_rename:
-            tmp = f"{path}.tmp-{uuid.uuid4().hex}"
-            with self.fs.open_output_stream(tmp) as f:
-                f.write(data)
+            tmp = f"{path}.{tag}-{uuid.uuid4().hex}"
+            write(tmp)
             self.fs.move(tmp, path)
         else:
-            with self.fs.open_output_stream(path) as f:
-                f.write(data)
+            write(path)
+
+    def _put(self, path: str, data: bytes) -> None:
+        with self.fs.open_output_stream(path) as f:
+            f.write(data)
+
+    def atomic_write_bytes(self, path: str, data: bytes) -> None:
+        """Binary twin of :meth:`atomic_write_text` (same commit split)."""
+        self._publish(path, lambda p: self._put(p, data))
 
     # -- small text objects (manifests, pointers, markers) ------------------
 
@@ -119,14 +128,7 @@ class StorageAdapter:
         """Publish a small text object all-or-nothing. POSIX: attempt-unique
         temp + atomic rename. Object store: direct PUT (atomic on
         complete); see module docstring for the conditional-put seam."""
-        if self.atomic_rename:
-            tmp = f"{path}.tmp-{uuid.uuid4().hex}"
-            with self.fs.open_output_stream(tmp) as f:
-                f.write(data.encode("utf-8"))
-            self.fs.move(tmp, path)
-        else:
-            with self.fs.open_output_stream(path) as f:
-                f.write(data.encode("utf-8"))
+        self._publish(path, lambda p: self._put(p, data.encode("utf-8")))
 
     # -- parquet ------------------------------------------------------------
 
@@ -168,12 +170,33 @@ class StorageAdapter:
         per row group — clustered rewrites use small groups so footer
         statistics stay selective for pushed-down predicates."""
         kw = {} if row_group_size is None else {"row_group_size": row_group_size}
-        if self.atomic_rename:
-            tmp = f"{path}.inprogress-{uuid.uuid4().hex}"
-            pq.write_table(table, tmp, filesystem=self.fs, **kw)
-            self.fs.move(tmp, path)
-        else:
-            pq.write_table(table, path, filesystem=self.fs, **kw)
+        self._publish(path, lambda p: pq.write_table(table, p, filesystem=self.fs, **kw),
+                      tag="inprogress")
+
+    # -- Arrow IPC (the staged exchange) -------------------------------------
+
+    def write_arrow_batches(self, path: str, tables: list[pa.Table]) -> None:
+        """Publish ``tables`` (one schema) as one Arrow IPC file holding
+        one record batch each, in order, so batch ``i`` is ``tables[i]``
+        (same commit split as :meth:`write_parquet_atomic`). Arrow's own
+        columnar layout, uncompressed: the exchange never re-encodes."""
+        batches = [pa.record_batch([c.combine_chunks() for c in t.columns], schema=t.schema)
+                   for t in tables]
+
+        def write(p: str) -> None:
+            with self.fs.open_output_stream(p) as f, \
+                    pa.ipc.new_file(f, tables[0].schema) as w:
+                for b in batches:
+                    w.write_batch(b)
+
+        self._publish(path, write, tag="inprogress")
+
+    def read_arrow_batch(self, path: str, i: int) -> pa.Table:
+        """Record batch ``i`` of an IPC file written by
+        :meth:`write_arrow_batches`; the footer locates it, so no other
+        batch is read."""
+        with self.fs.open_input_file(path) as f:
+            return pa.Table.from_batches([pa.ipc.open_file(f).get_batch(i)])
 
 
 def _row_groups_holding(meta: pq.FileMetaData, keys: list) -> list[int]:

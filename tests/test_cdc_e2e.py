@@ -179,6 +179,7 @@ def test_crash_mid_staging_recovers(workdir):
     import pyarrow.parquet as _pq
 
     from gamechanger_data_ray.engine.maintenance import vacuum
+    from gamechanger_data_ray.state.fs import StorageAdapter
 
     cd, td = os.path.join(workdir, "cl"), os.path.join(workdir, "tb")
     write_changelog(cd, num_epochs=2, events_per_epoch=1000, num_keys=200)
@@ -191,6 +192,13 @@ def test_crash_mid_staging_recovers(workdir):
         pa.table({"doc_id": ["garbage"], "lsn": [999]}),
         os.path.join(staging, "_part=0", "leftover.parquet"),
     )
+    # ...and in the exchange's own layout: a torn IPC file (killed before
+    # its rename) and a complete one that attempt never routed
+    staged = os.path.join(staging, "epoch=000002-part-00000.arrow")
+    with open(f"{staged}.inprogress-{'0' * 32}", "wb") as f:
+        f.write(b"ARROW1\x00\x00torn")
+    StorageAdapter().write_arrow_batches(
+        staged, [pa.table({"doc_id": ["garbage"], "lsn": [999]})])
 
     replay(cd, td, num_partitions=4)
     oracle, _ = oracle_final(cd)

@@ -41,9 +41,9 @@ def test_batched_equals_per_epoch(tmp_path):
 def test_file_list_and_dataset_inputs_identical(tmp_path):
     """The staged exchange's two inputs — a changelog FILE list (one fused
     stage task per file, what replay uses) and a change-event Dataset
-    (``write_parquet(partition_cols=...)``, what bootstrap/union/gate/
-    relay use) — must produce byte-identical tables, counters and
-    manifest entries, and leave no staging debris."""
+    (one ``map_batches(stage_block, batch_size=None)`` call per block,
+    what bootstrap/union/gate/relay use) — must produce byte-identical
+    tables, counters and manifest entries, and leave no staging debris."""
     import pyarrow.parquet as pq
     import ray.data
 
@@ -68,3 +68,56 @@ def test_file_list_and_dataset_inputs_identical(tmp_path):
     for t in (t_files, t_ds):
         staging = os.path.join(t, "_staging")
         assert not os.path.exists(staging) or not os.listdir(staging)
+
+
+def test_exchange_stages_one_ipc_file_per_input_file(tmp_path):
+    """One epoch of F=4 changelog files into P=16 partitions stages
+    exactly F files — one Arrow IPC file per stage task, nothing per
+    partition — and nothing lists a staging directory: each merge task
+    reads only the batches the driver routed to it."""
+    import uuid
+
+    from gamechanger_data_ray.core.changelog import epoch_dir
+    from gamechanger_data_ray.state.fs import StorageAdapter
+
+    cd = str(tmp_path / "cl")
+    write_changelog(cd, num_epochs=1, events_per_epoch=2000, num_keys=400,
+                    rows_per_file=600)
+    assert len([f for f in os.listdir(epoch_dir(cd, 1)) if f.endswith(".parquet")]) == 4
+    rec = str(tmp_path / "rec")
+    os.makedirs(rec)
+
+    class Recording(StorageAdapter):  # stage/merge tasks run in workers
+        def _note(self, kind, path):
+            if "_staging" in path:
+                with open(os.path.join(rec, f"{kind}-{uuid.uuid4().hex}"), "w") as f:
+                    f.write(path)
+
+        def write_arrow_batches(self, path, tables):
+            self._note("arrow", path)
+            StorageAdapter.write_arrow_batches(self, path, tables)
+
+        def write_parquet_atomic(self, table, path, row_group_size=None):
+            self._note("parquet", path)
+            StorageAdapter.write_parquet_atomic(self, table, path, row_group_size)
+
+        def list_files(self, path, suffix=""):
+            self._note("list", path)
+            return StorageAdapter.list_files(self, path, suffix)
+
+        def listdir(self, path):
+            self._note("list", path)
+            return StorageAdapter.listdir(self, path)
+
+    t_rec, t_plain = str(tmp_path / "rec_tb"), str(tmp_path / "plain_tb")
+    replay(cd, t_rec, num_partitions=16, fs=Recording())
+    replay(cd, t_plain, num_partitions=16)
+    notes: dict[str, list[str]] = {}
+    for n in os.listdir(rec):
+        with open(os.path.join(rec, n)) as f:
+            notes.setdefault(n.split("-", 1)[0], []).append(f.read())
+    assert len(notes.get("arrow", [])) == 4
+    assert len(set(notes["arrow"])) == 4
+    assert "parquet" not in notes and "list" not in notes
+    assert len(mf.load_current(t_rec).partitions) == 16
+    assert table_to_arrow(t_rec).equals(table_to_arrow(t_plain))

@@ -138,13 +138,20 @@ def test_commit_and_compact_retry_flaky_storage_writes(tmp_path):
     os.makedirs(marker_dir)
 
     class FlakyWrites(StorageAdapter):
-        def write_parquet_atomic(self, table, path, row_group_size=None):
+        def _fail_once(self):
             marker = os.path.join(marker_dir, f"pid-{os.getpid()}")
             if not os.path.exists(marker):
                 with open(marker, "w") as f:
                     f.write("failed once")
                 raise OSError("injected transient write failure")
+
+        def write_parquet_atomic(self, table, path, row_group_size=None):
+            self._fail_once()
             StorageAdapter.write_parquet_atomic(self, table, path, row_group_size)
+
+        def write_arrow_batches(self, path, tables):  # the stage tasks' write
+            self._fail_once()
+            StorageAdapter.write_arrow_batches(self, path, tables)
 
     def build(tb, fs=None):
         replay(cd, tb, num_partitions=4, merge_policy="delta",

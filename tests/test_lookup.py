@@ -157,6 +157,30 @@ def test_columns_projection(table):
     assert got.column_names == ["doc_id", "n_tok"]
 
 
+def test_columns_without_key_read_only_those_columns(table):
+    """``columns`` need not name ``doc_id``: the result is still the
+    key-sorted projection of the full lookup, and each routed file is
+    read for the asked columns plus the LWW bookkeeping only."""
+    from gamechanger_data_ray.state.fs import StorageAdapter
+
+    asked = []
+
+    class Recording(StorageAdapter):
+        def read_parquet(self, path, columns=None, keys=None):
+            asked.append(columns)
+            return StorageAdapter.read_parquet(self, path, columns, keys)
+
+    keys = _alive(table_to_arrow(table))["doc_id"].to_pylist()[::9][:12]
+    full = read_keys(table, keys)
+    got = read_keys(table, keys, columns=["n_tok"], fs=Recording())
+    assert got.column_names == ["n_tok"]
+    assert got["n_tok"].to_pylist() == full["n_tok"].to_pylist()
+    assert asked
+    for cols in asked:
+        assert cols is not None
+        assert set(cols) <= {"n_tok", "doc_id", "lsn", "seq", "op"}
+
+
 def _absent_inrange_key(table):
     """An ABSENT key that lands inside its routed partition's zone-map
     range — so only the bloom (not the zone map) can prune it."""
