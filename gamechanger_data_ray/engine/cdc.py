@@ -29,10 +29,13 @@ staging dir, and O(F) staged files per commit for F inputs, not
 O(F·P). Staged batches are Arrow's own columnar buffers, so the exchange
 never re-encodes the rows. It scales with per-node disk bandwidth,
 sidesteps the single plasma-store bottleneck, and makes a crashed
-exchange trivially restartable. Two inputs feed the same stage function
-(:func:`make_stager`): a changelog FILE list (one fused
-read+stage task per file) or a change-event Dataset
-(``map_batches(stage_block, batch_size=None)``).
+exchange trivially restartable. One driver, :func:`exchange`, runs
+stage → route → merge for every user: CDC commits, with
+:func:`make_stager` as the map side over a changelog FILE list (one
+fused read+stage task per file) or a change-event Dataset
+(``map_batches(stage_block, batch_size=None)``), and the derived views'
+refreshes (``views.refresh``, ``window_view.refresh_windowed``), which
+stage signed partial aggregates and late rows through it.
 
 Scale properties:
 - the combiner collapses duplicate/hot-key events per batch BEFORE the
@@ -436,79 +439,133 @@ def make_staged_merger(
     fs: StorageAdapter | None = None,
     update_mode: str = "replace",
 ):
-    """Merge task for the staged exchange, one plain task per touched
-    partition (see :func:`~.tasks.run_tasks`): the item ``{"part": K,
-    "staged": [(file, i), ...]}`` names the partition and the IPC record
-    batches the driver routed to it; the task reads exactly those batches
-    (already conformed + weight-carrying; nothing is listed) plus its
+    """The exchange's merge side (see :func:`exchange`): ``merge(part,
+    events)`` gets one touched partition and the events the driver routed
+    to it (already conformed + weight-carrying), reads the partition's
     current state (base + pending deltas), merges under the given policy,
     writes the deterministic output file and returns the partition's
-    entry row (see :func:`_merge_one_partition`). All I/O routes through the
-    StorageAdapter (picklable; carried into the task closure) so the
+    entry row (see :func:`_merge_one_partition`). All I/O routes through
+    the StorageAdapter (picklable; carried into the task closure) so the
     merge runs against any pyarrow filesystem; publication is
     atomic-rename on POSIX, atomic-PUT on object stores — concurrent/stale
     attempts write byte-identical content either way."""
     fs = default_fs(fs)
 
-    def merge_staged(item: dict) -> dict:
-        part = item["part"]
-        events = pa.concat_tables(
-            [fs.read_arrow_batch(f, i) for f, i in item["staged"]], promote_options="default")
+    def merge(part: int, events: pa.Table) -> dict:
         return _merge_one_partition(
             part, events, state_files.get(part, []), table_dir, epoch,
             mf.schema_from_b64(unified_b64), policy, fs, update_mode)
 
-    return merge_staged
+    return merge
 
 
 def make_stager(
-    staging_dir: str,
     unified_b64: str,
     num_partitions: int,
-    fs: StorageAdapter | None = None,
     renames: dict[str, str] | None = None,
     update_mode: str = "replace",
 ):
-    """The exchange's map side, the one stage function of both inputs:
-    ``stage(t, name)`` takes one input unit's events — a whole changelog
-    FILE, read inside its own plain task (see :func:`~.tasks.run_tasks`),
-    or one Dataset block — and runs rename → conform → weighted LWW
-    combine → hash-partition → sort by partition, then writes ONE Arrow
-    IPC file ``<staging_dir>/<name>.arrow`` holding one record batch per
-    touched partition, in partition order. It returns ``{"file": path,
-    "parts": [K, ...]}`` — batch ``i`` of ``file`` is partition
-    ``parts[i]`` — or ``{"file": "", "parts": []}`` when no event is left
-    (nothing written).
-
-    For a file, the payload goes disk→CPU→disk with ZERO plasma hops, and
-    the staged name (``<epoch dir>-<stem>``) is deterministic, so a
-    retried task overwrites its own output byte-identically. A block has
-    no stable index and is staged under a fresh uuid name: the driver
-    routes only the files the successful attempts returned, so a retried
-    attempt's orphan is never read and goes with the staging dir.
-
-    The file is also the better combiner unit: hot keys collapse over a
+    """The exchange's map side for change events (see :func:`exchange`):
+    ``stage(t)`` runs rename → conform → weighted LWW combine on one input
+    unit's events — a whole changelog FILE or one Dataset block — and
+    returns the combined rows with their ``hash(doc_id) % P`` partition
+    ids. The file is the better combiner unit: hot keys collapse over a
     whole changelog file rather than a read block before the exchange."""
-    fs = default_fs(fs)
 
-    def stage(t: pa.Table, name: str) -> dict:
+    def stage(t: pa.Table) -> tuple[pa.Table, pa.Array]:
         t = conform(rename_table(t, renames), mf.schema_from_b64(unified_b64))
         t = _combine(t, update_mode)
-        if t.num_rows == 0:
-            return {"file": "", "parts": []}
-        part = pc.cast(partition_ids(t["doc_id"], num_partitions), pa.int32())
-        order = pc.sort_indices(part)
-        t = t.take(order)
-        pvals = part.take(order).to_numpy(zero_copy_only=False)
-        # contiguous runs per partition → one record batch each
-        bounds = np.flatnonzero(np.diff(pvals)) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [len(pvals)]))
-        out = os.path.join(staging_dir, f"{name}.arrow")
-        fs.write_arrow_batches(out, [t.slice(s0, e0 - s0) for s0, e0 in zip(starts, ends)])
-        return {"file": out, "parts": [int(pvals[s0]) for s0 in starts]}
+        return t, partition_ids(t["doc_id"], num_partitions)
 
     return stage
+
+
+def _write_staged(rows: pa.Table, part: pa.Array, path: str, fs: StorageAdapter) -> dict:
+    """Sort ``rows`` by their partition id ``part`` and write ONE Arrow IPC
+    file at ``path`` holding one record batch per touched partition, in
+    partition order. Returns ``{"file": path, "parts": [K, ...]}`` —
+    batch ``i`` of ``file`` is partition ``parts[i]`` — or ``{"file": "",
+    "parts": []}`` for no rows (nothing written)."""
+    if rows.num_rows == 0:
+        return {"file": "", "parts": []}
+    order = pc.sort_indices(part)
+    rows = rows.take(order)
+    pvals = part.take(order).to_numpy(zero_copy_only=False)
+    # contiguous runs per partition → one record batch each
+    bounds = np.flatnonzero(np.diff(pvals)) + 1
+    starts = np.concatenate(([0], bounds))
+    ends = np.concatenate((bounds, [len(pvals)]))
+    fs.write_arrow_batches(path, [rows.slice(s0, e0 - s0) for s0, e0 in zip(starts, ends)])
+    return {"file": path, "parts": [int(pvals[s0]) for s0 in starts]}
+
+
+def exchange(source, partition, merge, root_dir: str, epoch: int,
+             fs: StorageAdapter) -> tuple[list[dict], dict[str, float]]:
+    """The engine's ONE exchange — stage → route → merge — shared by CDC
+    commits and derived-view refreshes.
+
+    Stage: ``partition(t) -> (rows, part_ids)`` runs once per input unit
+    and :func:`_write_staged` writes its rows as one IPC file. ``source``
+    is a list of parquet FILE PATHS, one fused read+stage task per file
+    (see :func:`~.tasks.run_tasks`; zero plasma hops for the payload)
+    staged under the deterministic name ``<parent dir>-<stem>``, so a
+    retried task overwrites its own output byte-identically; or a
+    Dataset, one ``map_batches(stage_block, batch_size=None)`` call per
+    block staged under a fresh ``block-<uuid>`` name — the driver routes
+    only the files the successful attempts returned, so a retried
+    attempt's orphan is never read.
+
+    Route: partition K gets batch ``i`` of every staged file whose
+    ``parts[i] == K``, files in name order. Merge: ``merge(K, rows)``
+    runs as one plain task per touched partition, ``rows`` the
+    concatenation of exactly its routed batches (nothing is listed); the
+    merge rows come back in partition order.
+
+    Staging is attempt-unique, ``<root_dir>/_staging/epoch-EEEEEE-<uuid>``:
+    two live drivers racing the same epoch must not stage into (or wipe)
+    each other's files (a uuid, not a pid: pids repeat across the nodes
+    of a shared store). It is removed on success; a crashed attempt's
+    debris is swept by ``maintenance.vacuum`` once the epoch is
+    committed. Returns the merge rows and the driver-observed wall
+    seconds ``{"stage", "merge"}``."""
+    staging = os.path.join(root_dir, "_staging", f"epoch-{epoch:06d}-{uuid.uuid4().hex}")
+    fs.makedirs(staging)  # once, for every stage task
+    t_stage = _time_mod.perf_counter()
+    if isinstance(source, (list, tuple)):
+        def stage_file(item: dict) -> dict:
+            path = item["path"]
+            parent = os.path.basename(os.path.dirname(path))  # epoch=NNNNNN
+            stem = os.path.splitext(os.path.basename(path))[0]
+            return _write_staged(*partition(fs.read_parquet(path)),
+                                 os.path.join(staging, f"{parent}-{stem}.arrow"), fs)
+
+        stage_rows = run_tasks(stage_file, [{"path": p} for p in source])
+    else:
+        def stage_block(block: pa.Table) -> pa.Table:
+            r = _write_staged(*partition(block),
+                              os.path.join(staging, f"block-{uuid.uuid4().hex}.arrow"), fs)
+            return pa.table({"file": [r["file"]],
+                             "parts": pa.array([r["parts"]], pa.list_(pa.int32()))})
+
+        stage_rows = source.map_batches(
+            stage_block, batch_size=None, batch_format="pyarrow",
+            # stage is pure and unreturned files are never read: a retry is safe
+            retry_exceptions=True, max_retries=4,
+        ).take_all()
+    staged: dict[int, list[tuple[str, int]]] = {}
+    for r in sorted(stage_rows, key=lambda r: r["file"]):
+        for i, k in enumerate(r["parts"]):
+            staged.setdefault(int(k), []).append((r["file"], i))
+    t_merge = _time_mod.perf_counter()
+
+    def merge_item(item: dict) -> dict:
+        return merge(item["part"], pa.concat_tables(
+            [fs.read_arrow_batch(f, i) for f, i in item["staged"]], promote_options="default"))
+
+    rows = run_tasks(merge_item, [{"part": k, "staged": staged[k]} for k in sorted(staged)])
+    fs.rmtree(staging)
+    return rows, {"stage": round(t_merge - t_stage, 3),
+                  "merge": round(_time_mod.perf_counter() - t_merge, 3)}
 
 
 def apply_epoch(
@@ -559,7 +616,9 @@ def apply_epochs(
     """
     fs = default_fs(fs)
     epoch = max(epochs)
-    if mf.committed_epoch(table_dir, fs) >= epoch:
+    current = mf.load_current(table_dir, fs)
+    # before any changelog read: a committed epoch's files may be gone
+    if (current.epoch if current else 0) >= epoch:
         return None
     files = [f for e in sorted(epochs) for f in _epoch_files(changelog_dir, e, fs)]
     # unify: footer schemas of the epoch's files (renamed first) + current
@@ -569,17 +628,9 @@ def apply_epochs(
     )
     # the raw FILE LIST: each stage task fuses read+normalize+partition+
     # write (no plasma round-trips)
-    return apply_events_dataset(
-        files,
-        table_dir,
-        epoch,
-        incoming,
-        num_partitions=num_partitions,
-        merge_policy=merge_policy,
-        fs=fs,
-        renames=renames,
-        update_mode=update_mode,
-    )
+    return _apply(files, table_dir, epoch, incoming, current,
+                  num_partitions=num_partitions, merge_policy=merge_policy,
+                  fs=fs, renames=renames, update_mode=update_mode)
 
 
 def apply_events_dataset(
@@ -608,9 +659,9 @@ def apply_events_dataset(
     ``events_ds`` is a change-event Dataset, staged one block per
     ``map_batches`` call, or a list of parquet FILE PATHS, staged one
     fused read+stage task per file (zero plasma hops for the payload).
-    Either way each stage call writes one Arrow IPC file and the driver
-    routes its record batches to the merge tasks (see :func:`make_stager`
-    and :func:`make_staged_merger`).
+    Either way it goes through the one :func:`exchange`, with
+    :func:`make_stager` as its map side and :func:`make_staged_merger` as
+    its merge.
 
     ``merge_policy="rewrite"`` (default) is copy-on-write: each touched
     partition's base file is fully rewritten (and any pending deltas are
@@ -624,12 +675,35 @@ def apply_events_dataset(
     different modulus than the state files would duplicate keys); use
     :func:`repartition_table` to change it. ``carry_forward=False`` drops
     untouched-partition carry-forward (repartition rewrites only)."""
+    fs = default_fs(fs)
+    return _apply(events_ds, table_dir, epoch, incoming_schema,
+                  mf.load_current(table_dir, fs), num_partitions=num_partitions,
+                  carry_forward=carry_forward, merge_policy=merge_policy, fs=fs,
+                  renames=renames, update_mode=update_mode,
+                  dropped_columns=dropped_columns)
+
+
+def _apply(
+    events,
+    table_dir: str,
+    epoch: int,
+    incoming_schema: pa.Schema,
+    current: mf.TableManifest | None,
+    num_partitions: int,
+    fs: StorageAdapter,
+    carry_forward: bool = True,
+    merge_policy: str = "rewrite",
+    renames: dict[str, str] | None = None,
+    update_mode: str = "replace",
+    dropped_columns: list[str] | None = None,
+) -> mf.TableManifest | None:
+    """The body of :func:`apply_events_dataset` against the ``current``
+    manifest its caller already loaded (one load per commit; the fenced
+    :func:`mf.commit` re-reads the pointer as its safety check)."""
     if update_mode not in ("replace", "coalesce"):
         raise ValueError(f"unknown update_mode: {update_mode!r}")
     if update_mode == "coalesce" and merge_policy != "rewrite":
         raise ValueError("update_mode='coalesce' requires merge_policy='rewrite'")
-    fs = default_fs(fs)
-    current = mf.load_current(table_dir, fs)
     if current is not None and current.epoch >= epoch:
         return None
     if carry_forward and current is not None and current.num_partitions:
@@ -664,53 +738,12 @@ def apply_events_dataset(
     state_files = ({int(k): mf.entry_rels(v) for k, v in current.partitions.items()}
                    if current is not None else {})
 
-    # attempt-unique staging dir: two live drivers racing the same epoch
-    # must not stage into (or wipe) each other's files — each attempt
-    # merges from its own staging; crashed-attempt debris is swept by
-    # vacuum once the epoch is committed
-    # uuid attempt token, not pid: pids are not unique across the nodes of
-    # a shared store and reuse could make the rmtree below delete a
-    # DIFFERENT live attempt's staging
-    staging = os.path.join(
-        table_dir, "_staging", f"epoch-{epoch:06d}-{uuid.uuid4().hex}"
-    )
-    fs.makedirs(staging)  # once, for every stage task
-    _t_stage = _time_mod.perf_counter()
-    stage = make_stager(staging, unified_b64, num_partitions, fs=fs,
-                        renames=renames, update_mode=update_mode)
-    if isinstance(events_ds, (list, tuple)):
-        def stage_file(item: dict) -> dict:
-            path = item["path"]
-            parent = os.path.basename(os.path.dirname(path))  # epoch=NNNNNN
-            stem = os.path.splitext(os.path.basename(path))[0]
-            return stage(fs.read_parquet(path), f"{parent}-{stem}")
-
-        stage_rows = run_tasks(stage_file, [{"path": p} for p in events_ds])
-    else:
-        def stage_block(block: pa.Table) -> pa.Table:
-            r = stage(block, f"block-{uuid.uuid4().hex}")
-            return pa.table({"file": [r["file"]],
-                             "parts": pa.array([r["parts"]], pa.list_(pa.int32()))})
-
-        stage_rows = events_ds.map_batches(
-            stage_block, batch_size=None, batch_format="pyarrow",
-            # stage is pure and unreturned files are never read: a retry is safe
-            retry_exceptions=True, max_retries=4,
-        ).take_all()
-    # route: partition K merges batch i of every file whose parts[i] == K,
-    # files in name order
-    staged: dict[int, list[tuple[str, int]]] = {}
-    for r in sorted(stage_rows, key=lambda r: r["file"]):
-        for i, k in enumerate(r["parts"]):
-            staged.setdefault(int(k), []).append((r["file"], i))
-    _t_merge = _time_mod.perf_counter()
-    counter_rows = run_tasks(
+    counter_rows, phase_wall = exchange(
+        events,
+        make_stager(unified_b64, num_partitions, renames=renames, update_mode=update_mode),
         make_staged_merger(table_dir, epoch, unified_b64, state_files,
                            policy=merge_policy, fs=fs, update_mode=update_mode),
-        # empty epoch: no task, manifest still advances
-        [{"part": k, "staged": staged[k]} for k in sorted(staged)])
-    fs.rmtree(staging)
-    _t_done = _time_mod.perf_counter()
+        table_dir, epoch, fs)  # empty epoch: no merge task, manifest still advances
 
     # build the new manifest: carry forward untouched partitions
     partitions = dict(current.partitions) if (current and carry_forward) else {}
@@ -731,8 +764,7 @@ def apply_events_dataset(
     )
     # per-phase wall clocks (driver-observed): surfaced via `history`/`jobs`
     # so a slow replay localizes to exchange vs merge without re-running
-    epoch_counters["phase_wall"] = {"stage": round(_t_merge - _t_stage, 3),
-                                    "merge": round(_t_done - _t_merge, 3)}
+    epoch_counters["phase_wall"] = phase_wall
     epoch_counters["update_mode"] = update_mode
     # wall-clock commit stamp: drives time-based retention (vacuum
     # --keep-seconds). Same-epoch revisions inherit it (the epoch's

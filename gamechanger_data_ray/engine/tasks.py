@@ -1,8 +1,9 @@
 """Control-plane task pools: one plain, retried Ray task per work item.
 
 The engine's per-partition (and per-file) write steps — stage, merge,
-rewrite, footer scan, join, pack — each return a small control row that
-the driver folds into a manifest. They run as plain Ray tasks rather
+view and window-view refresh merges, rewrite, footer scan, join, pack —
+each return a small control row that the driver folds into a manifest.
+They run as plain Ray tasks rather
 than a Ray Data execution: the executor's fixed start-up cost is larger
 than the work of a tail commit, and the driver holds every row for its
 fold anyway, so ``ray.get`` over all refs keeps nothing extra. Reads of

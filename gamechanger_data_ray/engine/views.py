@@ -9,13 +9,17 @@ DATA THAT CHANGED, not the table:
 
     diff(e_view → e_table, mode="retractions")   # signed Z-set delta,
                                                  # dirty partitions only
-      → map_batches(fold)       # per-block signed partial aggregate —
-                                # the combiner: one row per (group, block)
-      → groupby(_part)          # tiny shuffle of pre-aggregated rows,
-                                # partitioned by hash(group key)
-      → merge per partition     # old view rows + delta partials → one
-                                # SUM fold; groups whose count reaches 0
-                                # drop out; deterministic file per epoch
+      → stage per block         # signed partial aggregate — the combiner:
+                                # one row per (group, block) — sorted by
+                                # hash(group key) % P into ONE Arrow IPC
+                                # file, one record batch per partition
+      → IPC exchange            # the engine's one exchange (cdc.exchange,
+                                # the same one a CDC commit runs): the
+                                # driver routes (file, batch) pairs
+      → run_tasks merge         # one plain task per dirty partition: old
+                                # view rows + routed partials → one SUM
+                                # fold; groups whose count reaches 0 drop
+                                # out; deterministic file per epoch
       → commit view manifest    # same atomic pointer-swap + epoch
                                 # fencing as the lake table itself
 
@@ -33,7 +37,9 @@ View state reuses the table's manifest machinery (`state/manifest.py`):
 hash-partitioned deterministic files ``part=K/view-eEEEEEE.parquet``,
 ``_CURRENT`` pointer, epoch fencing (a view can never move backwards or
 double-apply a delta), carry-forward for partitions with no dirty
-groups.
+groups. Like a table commit, a refresh stages under
+``view_dir/_staging/epoch-EEEEEE-<uuid>``, removed on success; a crashed
+refresh's debris is swept by ``maintenance.vacuum(view_dir)``.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from ..core.diff import SIGN_COLUMN
 from ..core.hashing import partition_ids
 from ..state import manifest as mf
 from ..state.fs import StorageAdapter, default_fs
-from .cdc import PART_COLUMN, read_table
+from .cdc import exchange, read_table
 from .diff import diff_table_epochs
 
 VIEW_COUNT = "n_rows"
@@ -190,13 +196,14 @@ def _sum_groups(t: pa.Table, view: ViewDef) -> pa.Table:
 
 
 def _make_fold(view: ViewDef, schema_b64: str, num_partitions: int):
-    """Per-block combiner: signed partial aggregate + partition routing.
-    Input blocks carry ``needed_columns()`` (+ optional ``sign``); a block
-    without a sign column folds with sign=+1 (the full-rebuild source)."""
+    """Map side of the view's exchange: one block's signed partial
+    aggregate — the combiner, one row per group per block — with each
+    row's partition id, ``hash(group key) % P``. Input blocks carry
+    ``needed_columns()`` (+ optional ``sign``); a block without a sign
+    column folds with sign=+1 (the full-rebuild source)."""
 
-    def fold(batch: pa.Table) -> pa.Table:
+    def fold(batch: pa.Table) -> tuple[pa.Table, pa.Array]:
         schema = mf.schema_from_b64(schema_b64)
-        out_schema = schema.append(pa.field(PART_COLUMN, pa.int32()))
         if view.transform is not None and batch.num_rows:
             if SIGN_COLUMN not in batch.schema.names:
                 batch = batch.append_column(
@@ -208,9 +215,7 @@ def _make_fold(view: ViewDef, schema_b64: str, num_partitions: int):
                     "view transform must carry the sign column onto derived rows"
                 )
         if batch.num_rows == 0:
-            return pa.table(
-                {f.name: pa.array([], f.type) for f in out_schema}, schema=out_schema
-            )
+            return schema.empty_table(), pa.array([], pa.int32())
         n = batch.num_rows
         sign = (
             pc.cast(batch.column(SIGN_COLUMN), pa.int64())
@@ -230,12 +235,8 @@ def _make_fold(view: ViewDef, schema_b64: str, num_partitions: int):
             {f.name: pc.cast(agg.column(f.name), f.type) for f in schema},
             schema=schema,
         )
-        return agg.append_column(
-            PART_COLUMN,
-            partition_ids(
-                _group_key(agg, view.route_by or view.group_by), num_partitions
-            ),
-        )
+        return agg, partition_ids(
+            _group_key(agg, view.route_by or view.group_by), num_partitions)
 
     return fold
 
@@ -248,15 +249,15 @@ def _make_part_merger(
     epoch: int,
     fs: StorageAdapter,
 ):
-    """Merge one view partition: old stored rows (absorbed as sign=+1
-    partials — they ARE the fold of all previous epochs) + delta partials
-    → new deterministic file. Emits a one-row counters table."""
+    """Merge side of the view's exchange, one task per dirty partition:
+    old stored rows (absorbed as sign=+1 partials — they ARE the fold of
+    all previous epochs) + the routed delta partials → new deterministic
+    file. Returns the partition's ``{part, file, rows}`` row."""
 
-    def merge(group: pa.Table) -> pa.Table:
+    def merge(part: int, partials: pa.Table) -> dict:
         schema = mf.schema_from_b64(schema_b64)
-        part = group.column(PART_COLUMN)[0].as_py()
-        pieces = [group.drop_columns([PART_COLUMN])]
-        old_rel = old_files.get(int(part))
+        pieces = [partials]
+        old_rel = old_files.get(part)
         if old_rel:
             old = fs.read_parquet(os.path.join(view_dir, old_rel))
             pieces.append(
@@ -278,18 +279,40 @@ def _make_part_merger(
                     out, sort_keys=[(c, "ascending") for c in view.group_by]
                 )
             )
-        rel = os.path.join(f"part={int(part)}", f"view-e{epoch:06d}.parquet")
-        fs.makedirs(os.path.join(view_dir, f"part={int(part)}"))
+        rel = os.path.join(f"part={part}", f"view-e{epoch:06d}.parquet")
+        fs.makedirs(os.path.join(view_dir, f"part={part}"))
         fs.write_parquet_atomic(out, os.path.join(view_dir, rel))
-        return pa.table(
-            {
-                "part": pa.array([int(part)], pa.int32()),
-                "file": pa.array([rel], pa.string()),
-                "rows": pa.array([out.num_rows], pa.int64()),
-            }
-        )
+        return {"part": part, "file": rel, "rows": out.num_rows}
 
     return merge
+
+
+def _fold_into_view(
+    view: ViewDef,
+    src: ray.data.Dataset,
+    view_dir: str,
+    epoch: int,
+    schema_b64: str,
+    num_partitions: int,
+    carry: dict,
+    fs: StorageAdapter,
+) -> tuple[dict, int, int]:
+    """Fold the signed rows of ``src`` into the view through the engine's
+    one exchange (:func:`~.cdc.exchange`): ``_make_fold`` stages each
+    block's partials, ``_make_part_merger`` rewrites each dirty
+    partition. ``carry`` is the committed partitions map (empty on a full
+    rebuild). Returns the new partitions map (empty partitions dropped),
+    its total rows and the dirty-partition count."""
+    old_files = {int(k): v["file"] for k, v in carry.items()}
+    rows, _ = exchange(
+        src,
+        _make_fold(view, schema_b64, num_partitions),
+        _make_part_merger(view, view_dir, schema_b64, old_files, epoch, fs),
+        view_dir, epoch, fs)
+    partitions = {**carry, **{str(r["part"]): {"file": r["file"], "rows": int(r["rows"])}
+                              for r in rows}}
+    partitions = {k: v for k, v in partitions.items() if int(v["rows"])}
+    return partitions, sum(int(v["rows"]) for v in partitions.values()), len(rows)
 
 
 def inverted_index_view(text_column: str = "text", key_column: str = "doc_id") -> ViewDef:
@@ -363,51 +386,28 @@ def refresh(
         except (FileNotFoundError, ValueError):
             delta = None  # vacuumed manifest / repartitioned table → rebuild
 
-    schema = _view_schema(view, cur_table.schema)
-    schema_b64 = mf.schema_to_b64(schema)
+    schema_b64 = mf.schema_to_b64(_view_schema(view, cur_table.schema))
     if delta is not None:
         src = delta.select_columns(view.needed_columns() + [SIGN_COLUMN])
-        old_files = {int(k): v["file"] for k, v in cur_view.partitions.items()}
-        carry = dict(cur_view.partitions)
-        mode = "incremental"
+        carry, mode = dict(cur_view.partitions), "incremental"
     else:
         src = read_table(
             table_dir, payload_only=True, columns=view.needed_columns(), fs=fs
         )
-        old_files, carry, mode = {}, {}, "full"
+        carry, mode = {}, "full"
 
-    _retry = {"retry_exceptions": True, "max_retries": 4}
-    counters = (
-        src.map_batches(
-            _make_fold(view, schema_b64, num_partitions),
-            batch_format="pyarrow",
-            **_retry,
-        )
-        .groupby(PART_COLUMN)
-        .map_groups(
-            _make_part_merger(view, view_dir, schema_b64, old_files, epoch, fs),
-            batch_format="pyarrow",
-            **_retry,
-        )
-        .take_all()
-    )
-
-    partitions = carry
-    total = sum(int(p.get("rows", 0)) for p in carry.values())
-    for row in counters:
-        prev = carry.get(str(row["part"]))
-        total += int(row["rows"]) - int(prev["rows"] if prev else 0)
-        partitions[str(row["part"])] = {"file": row["file"], "rows": int(row["rows"])}
+    partitions, total, dirty = _fold_into_view(
+        view, src, view_dir, epoch, schema_b64, num_partitions, carry, fs)
     manifest = mf.TableManifest(
         epoch=epoch,
         schema_b64=schema_b64,
-        partitions={k: v for k, v in partitions.items() if int(v["rows"])},
+        partitions=partitions,
         epoch_counters={
             "view_sig": view.signature(),
             "group_by": list(view.group_by),
             "route_by": list(view.route_by) if view.route_by else None,
             "mode": mode,
-            "dirty_partitions": len(counters),
+            "dirty_partitions": dirty,
         },
         totals={"rows": total},
         num_partitions=num_partitions,

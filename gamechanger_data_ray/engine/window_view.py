@@ -16,10 +16,10 @@ floor(ts / width) * width`` with three additions per refresh:
 2. **Late side output**: a delta row (either sign — a late retraction is
    just as late as a late insert) targeting a window already final at
    the PREVIOUS commit never mutates the aggregate; it lands in
-   ``late/e{epoch}/part-K.parquet`` (deterministic names — a crashed
-   refresh rewrites the same bytes) with its sign, and is counted in the
-   manifest. The LAKE TABLE itself accepts every event; lateness is a
-   property of this view's aggregate only.
+   ``late/e{epoch}/part-K-sSS.parquet`` (deterministic names, rows
+   sorted — a crashed refresh rewrites the same bytes) with its sign,
+   and is counted in the manifest. The LAKE TABLE itself accepts every
+   event; lateness is a property of this view's aggregate only.
 3. **Trigger stream**: windows whose end crosses the watermark THIS
    refresh are snapshotted (final values) to
    ``triggers/e{epoch}.parquet`` — the exactly-once "window closed"
@@ -35,9 +35,11 @@ rows on-time, exactly like a Flink job started against existing state.
 
 Scale: the fold touches only the delta; the part-merge touches only
 dirty view partitions; the trigger scan reads view ROWS (one per live
-window — bounded by windows, not events); late rows are a routed
-minority shuffle. Driver traffic: O(partitions) counter rows + the two
-watermark scalars.
+window — bounded by windows, not events). Both the on-time fold and the
+late side output ride the engine's one staged exchange
+(``cdc.exchange``): late rows are routed by ``(view partition, per-row
+salt)``, so one hot late window splits over ``_LATE_SALTS`` write tasks.
+Driver traffic: O(partitions) counter rows + the two watermark scalars.
 """
 
 from __future__ import annotations
@@ -53,13 +55,12 @@ from ..core.diff import SIGN_COLUMN
 from ..core.hashing import fnv1a64, partition_ids
 from ..state import manifest as mf
 from ..state.fs import StorageAdapter, default_fs
-from .cdc import PART_COLUMN, read_table
+from .cdc import exchange, read_table
 from .diff import diff_table_epochs
-from .views import ViewDef, _make_fold, _make_part_merger, _view_schema
+from .views import ViewDef, _fold_into_view, _view_schema
 
 WINDOW_COLUMN = "window_start"
-_SALT_COLUMN = "_late_salt"
-_LATE_SALTS = 8  # per-row salt: bounds a hot late window's write group
+_LATE_SALTS = 8  # per-row salt: bounds a hot late window's write input
 
 
 class EventWindowView:
@@ -173,11 +174,14 @@ TumblingWindowView = EventWindowView
 
 
 def _max_event_ts(src: ray.data.Dataset, ts_column: str) -> int | None:
-    from ray.data.aggregate import Max
+    """Max event time: one row per block, maxed on the driver."""
 
-    row = src.aggregate(Max(ts_column))
-    v = row.get(f"max({ts_column})") if row else None
-    return None if v is None else int(v)
+    def block_max(t: pa.Table) -> pa.Table:
+        m = pc.max(pc.cast(t[ts_column], pa.int64())).as_py()
+        return pa.table({"m": pa.array([m], pa.int64())})
+
+    rows = src.map_batches(block_max, batch_size=None, batch_format="pyarrow").take_all()
+    return max((r["m"] for r in rows if r["m"] is not None), default=None)
 
 
 def refresh_windowed(
@@ -242,9 +246,7 @@ def refresh_windowed(
             cols.append("doc_id")
         src = delta.select_columns(cols + [SIGN_COLUMN]).materialize()
         max_ts = _max_event_ts(src, view.ts_column)
-        old_files = {int(k): v["file"] for k, v in cur_view.partitions.items()}
-        carry = dict(cur_view.partitions)
-        mode = "incremental"
+        carry, mode = dict(cur_view.partitions), "incremental"
 
         # window assignment precedes the late split: lateness is a
         # per-(row, window) judgment (a sliding-window row can be late
@@ -252,106 +254,60 @@ def refresh_windowed(
         src = src.map_batches(view.expand, batch_format="pyarrow")
 
         if old_wm is not None:
-            wm_cut, w = old_wm, view.width
+            def is_late(t: pa.Table):
+                wend = pc.add(pc.cast(t[WINDOW_COLUMN], pa.int64()),
+                              pa.scalar(view.width, pa.int64()))
+                return pc.less_equal(wend, pa.scalar(old_wm, pa.int64()))
 
-            def split(keep_late: bool):
-                def fn(t: pa.Table) -> pa.Table:
-                    wend = pc.add(
-                        pc.cast(t[WINDOW_COLUMN], pa.int64()),
-                        pa.scalar(w, pa.int64()),
-                    )
-                    late = pc.less_equal(wend, pa.scalar(wm_cut, pa.int64()))
-                    return t.filter(late if keep_late else pc.invert(late))
-
-                return fn
-
-            late_ds = src.map_batches(split(True), batch_format="pyarrow")
-            ontime = src.map_batches(split(False), batch_format="pyarrow")
-
-            # late side output: routed to deterministic per-(partition,
-            # salt) files (idempotent on retry), recorded in the manifest
-            def write_late(group: pa.Table) -> pa.Table:
-                part = group.column(PART_COLUMN)[0].as_py()
-                salt = group.column(_SALT_COLUMN)[0].as_py()
-                out = group.drop_columns([PART_COLUMN, _SALT_COLUMN])
-                rel = os.path.join(
-                    f"late/e{epoch:06d}",
-                    f"part-{int(part)}-s{int(salt):02d}.parquet",
-                )
-                fs.makedirs(os.path.join(view_dir, f"late/e{epoch:06d}"))
-                fs.write_parquet_atomic(out, os.path.join(view_dir, rel))
-                return pa.table({
-                    "file": pa.array([rel], pa.string()),
-                    "rows": pa.array([out.num_rows], pa.int64()),
-                })
-
-            def route_late(t: pa.Table) -> pa.Table:
+            def route_late(t: pa.Table) -> tuple[pa.Table, pa.Array]:
                 # window routing alone lets ONE hot late window form a
-                # whole-window raw-row group (the skew gate's 10^6-events
-                # one-key discipline); a deterministic per-ROW salt bounds
-                # every group to ~1/_LATE_SALTS of its window. Row hash,
-                # not block position → same rows land in the same file on
-                # retry regardless of batching.
-                t = t.append_column(
-                    PART_COLUMN,
-                    partition_ids(
-                        pc.cast(t[WINDOW_COLUMN], pa.int64()), num_partitions
-                    ),
-                )
+                # whole-window raw-row merge input (the skew gate's
+                # 10^6-events one-key discipline); a deterministic
+                # per-ROW salt bounds each to ~1/_LATE_SALTS of its
+                # window. Row hash, not block position → same rows land
+                # in the same file on retry regardless of batching.
+                t = t.filter(is_late(t))
+                part = partition_ids(pc.cast(t[WINDOW_COLUMN], pa.int64()),
+                                     num_partitions).to_numpy(zero_copy_only=False)
                 key = (t["doc_id"] if "doc_id" in t.schema.names
                        else pc.cast(t[view.ts_column], pa.string()))
-                h = fnv1a64(pc.cast(key, pa.string()))
-                return t.append_column(
-                    _SALT_COLUMN,
-                    pa.array((h % np.uint64(_LATE_SALTS)).astype(np.int32),
-                             pa.int32()),
-                )
+                salt = fnv1a64(pc.cast(key, pa.string())) % np.uint64(_LATE_SALTS)
+                return t, pa.array(part * _LATE_SALTS + salt.astype(np.int32))
 
-            late_stats = (
-                late_ds.map_batches(route_late, batch_format="pyarrow")
-                .groupby([PART_COLUMN, _SALT_COLUMN])
-                .map_groups(write_late, batch_format="pyarrow")
-                .take_all()
-            )
+            # late side output: deterministic per-(partition, salt) files,
+            # recorded in the manifest. Staged blocks are uuid-named, so
+            # the rows are sorted by every column: a retried refresh
+            # rewrites the same bytes whatever order they arrive in.
+            def write_late(key: int, rows: pa.Table) -> dict:
+                part, salt = divmod(key, _LATE_SALTS)
+                rows = rows.take(pc.sort_indices(
+                    rows, sort_keys=[(c, "ascending") for c in rows.column_names]))
+                rel = os.path.join(f"late/e{epoch:06d}",
+                                   f"part-{part}-s{salt:02d}.parquet")
+                fs.makedirs(os.path.join(view_dir, f"late/e{epoch:06d}"))
+                fs.write_parquet_atomic(rows, os.path.join(view_dir, rel))
+                return {"file": rel, "rows": rows.num_rows}
+
+            late_stats, _ = exchange(src, route_late, write_late, view_dir, epoch, fs)
             late_rows = sum(int(r["rows"]) for r in late_stats)
             late_files = sorted(r["file"] for r in late_stats)
-            src = ontime
+            src = src.map_batches(lambda t: t.filter(pc.invert(is_late(t))),
+                                  batch_format="pyarrow")
     else:
         src = read_table(
             table_dir, payload_only=True, columns=needed, fs=fs
         )
         max_ts = _max_event_ts(src, view.ts_column)
         src = src.map_batches(view.expand, batch_format="pyarrow")
-        old_files, carry, mode = {}, {}, "bootstrap"
+        carry, mode = {}, "bootstrap"
 
     new_wm = old_wm
     if max_ts is not None:
         cand = max_ts - view.lateness
         new_wm = cand if new_wm is None else max(new_wm, cand)
 
-    _retry = {"retry_exceptions": True, "max_retries": 4}
-    counters = (
-        src.map_batches(
-            _make_fold(view.inner, schema_b64, num_partitions),
-            batch_format="pyarrow",
-            **_retry,
-        )
-        .groupby(PART_COLUMN)
-        .map_groups(
-            _make_part_merger(view.inner, view_dir, schema_b64, old_files, epoch, fs),
-            batch_format="pyarrow",
-            **_retry,
-        )
-        .take_all()
-    )
-
-    partitions = carry
-    total = sum(int(p.get("rows", 0)) for p in carry.values())
-    for row in counters:
-        prev = carry.get(str(row["part"]))
-        total += int(row["rows"]) - int(prev["rows"] if prev else 0)
-        partitions[str(row["part"])] = {"file": row["file"], "rows": int(row["rows"])}
-    partitions = {k: v for k, v in partitions.items() if int(v["rows"])}
+    partitions, total, dirty = _fold_into_view(
+        view.inner, src, view_dir, epoch, schema_b64, num_partitions, carry, fs)
 
     # trigger stream: windows finalized by THIS watermark advance —
     # final values snapshotted before the commit makes them visible
@@ -398,7 +354,7 @@ def refresh_windowed(
             "view_sig": view.signature(),
             "group_by": list(view.inner.group_by),
             "mode": mode,
-            "dirty_partitions": len(counters),
+            "dirty_partitions": dirty,
             "watermark_ts": new_wm,
             "late_rows": late_rows,
             "late_files": late_files,

@@ -84,16 +84,17 @@ def test_running_total_int_hot_key_exact(skew_dir):
 def test_window_view_hot_key_bounded_groups(ray_session, tmp_path, monkeypatch):
     """Round-5 gate (VERDICT r4 item 6): ONE hot key × 10^6 late+on-time
     events through a SLIDING windowed view must never form a whole-key
-    (or whole-window) group. Asserts (a) every part-merger group and
-    every late-side write group is bounded far below N, and (b) the
-    final window aggregates and late totals are EXACT vs a numpy serial
-    recompute of the same watermark semantics."""
+    (or whole-window) group. Asserts (a) every part-merge input (the rows
+    of its staged batches) and every late-side write file is bounded far
+    below N, and (b) the final window aggregates and late totals are
+    EXACT vs a numpy serial recompute of the same watermark semantics."""
     import os
     import uuid
 
     import pyarrow.compute as pc
     import ray.data
 
+    import gamechanger_data_ray.engine.views as views
     import gamechanger_data_ray.engine.window_view as wv
     from gamechanger_data_ray.engine.cdc import apply_events_dataset
     from gamechanger_data_ray.engine.window_view import (
@@ -108,18 +109,18 @@ def test_window_view_hot_key_bounded_groups(ray_session, tmp_path, monkeypatch):
 
     gdir = tmp_path / "gsz"
     gdir.mkdir()
-    orig = wv._make_part_merger
+    orig = views._make_part_merger
 
     def patched(*a, **k):
         m = orig(*a, **k)
 
-        def wrapped(g):
-            (gdir / uuid.uuid4().hex).write_text(str(g.num_rows))
-            return m(g)
+        def wrapped(part, partials):  # one merge task: its staged batches
+            (gdir / uuid.uuid4().hex).write_text(str(partials.num_rows))
+            return m(part, partials)
 
         return wrapped
 
-    monkeypatch.setattr(wv, "_make_part_merger", patched)
+    monkeypatch.setattr(views, "_make_part_merger", patched)
 
     def events(prefix, ts):
         n = len(ts)
@@ -193,7 +194,7 @@ def test_window_view_hot_key_bounded_groups(ray_session, tmp_path, monkeypatch):
     # --- boundedness ----------------------------------------------------
     sizes = [int(p.read_text()) for p in gdir.iterdir()]
     assert sizes and max(sizes) < N // 10, (
-        f"part-merger saw a group of {max(sizes)} rows — whole-key group")
+        f"part-merge saw {max(sizes)} staged rows — whole-key merge input")
     late_files = m2.epoch_counters["late_files"]
     assert len(late_files) >= wv._LATE_SALTS // 2  # the salt actually split
     for rel in late_files:

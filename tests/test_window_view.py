@@ -274,11 +274,20 @@ def test_fuzz_matches_serial_simulator(ray_session, tmp_path):
 def test_crash_before_commit_then_retry_converges(lake):
     """A refresh that dies after writing data files but BEFORE the
     manifest swap leaves the view readable at the old epoch; the retry
-    rewrites the same deterministic paths and commits the same state."""
+    rewrites the same deterministic paths — late files byte for byte —
+    and commits the same state."""
+    import hashlib
+    import os
+
     tb, vd, _ = lake
     _apply(tb, 2, [("I", 2, 0, "f", 50, 999), ("I", 2, 1, "h", 105, 11)])
 
     import gamechanger_data_ray.engine.window_view as wv
+
+    def late_bytes() -> dict[str, str]:
+        d = os.path.join(vd, "late", "e000002")
+        return {f: hashlib.sha256(open(os.path.join(d, f), "rb").read()).hexdigest()
+                for f in sorted(os.listdir(d))}
 
     orig = wv.mf.commit
     wv.mf.commit = lambda *a, **k: (_ for _ in ()).throw(RuntimeError("crash"))
@@ -287,11 +296,15 @@ def test_crash_before_commit_then_retry_converges(lake):
             refresh_windowed(VIEW, vd, tb)
     finally:
         wv.mf.commit = orig
+    crashed = late_bytes()
+    assert crashed
     # still readable at epoch 1 state
     assert _win_map(vd) == {0: (1, 100), 10: (2, 15), 80: (1, 7), 90: (1, 2)}
     m2 = refresh_windowed(VIEW, vd, tb)
     assert m2 is not None and m2.epoch == 2
     assert m2.epoch_counters["late_rows"] == 1
+    assert late_bytes() == crashed
+    assert sorted(os.path.basename(f) for f in m2.epoch_counters["late_files"]) == list(crashed)
     assert _win_map(vd) == {0: (1, 100), 10: (2, 15), 80: (1, 7),
                             90: (1, 2), 100: (1, 11)}
 
