@@ -2,20 +2,23 @@
 
 Pipeline per epoch batch (all streaming, zero-copy Arrow batches):
 
-    stage per input unit              # one task per changelog file or
-                                      # Dataset block: conform to unified
-                                      # schema, partial LWW reduce
-                                      # (combiner), hash(doc_id)%P, write
-                                      # ONE Arrow IPC file, one record
-                                      # batch per touched partition
+    stage per input unit              # per changelog file (one task per
+                                      # cluster CPU) or Dataset block:
+                                      # conform to unified schema, partial
+                                      # LWW reduce (combiner),
+                                      # hash(doc_id)%P, write ONE Arrow
+                                      # IPC file, one record batch per
+                                      # touched partition
       → EXCHANGE on hash(doc_id)%P    # the engine's ONE shuffle (staged):
                                       # the driver routes (file, batch)
                                       # pairs to each partition
-      → merge per partition           # one plain task each: read its routed
-                                      # batches + current state, LWW merge,
-                                      # write deterministic
-                                      # data-eEEEEEE.parquet, return one
-                                      # entry row (partition_entry)
+      → merge per partition           # one plain task per cluster CPU,
+                                      # each a run of partitions, one at a
+                                      # time: read its routed batches +
+                                      # current state, LWW merge, write
+                                      # deterministic data-eEEEEEE.parquet,
+                                      # return one entry row
+                                      # (partition_entry)
       → driver fold                   # rows fold into the manifest
                                       # (fold_entry), committed atomically
 
@@ -23,16 +26,16 @@ The exchange is staged, with the map-output layout of a sort-based
 shuffle: each stage task sorts its combiner output by partition and
 writes one Arrow IPC file to an ephemeral staging dir, whose batch ``i``
 is its ``i``-th touched partition, and returns ``{"file", "parts"}``. The
-driver turns those rows into one merge item per touched partition
-listing exactly the ``(file, i)`` batches it reads — no listing of the
-staging dir, and O(F) staged files per commit for F inputs, not
-O(F·P). Staged batches are Arrow's own columnar buffers, so the exchange
-never re-encodes the rows. It scales with per-node disk bandwidth,
-sidesteps the single plasma-store bottleneck, and makes a crashed
-exchange trivially restartable. One driver, :func:`exchange`, runs
+driver routes exactly the ``(file, i)`` batches each touched partition
+reads — no listing of the staging dir, and O(F) staged files per commit
+for F inputs, not O(F·P) — and a merge task opens each routed file
+once for its whole run of partitions. Staged batches are Arrow's own
+columnar buffers, so the exchange never re-encodes the rows. It scales
+with per-node disk bandwidth, sidesteps the single plasma-store
+bottleneck, and makes a crashed exchange trivially restartable. One driver, :func:`exchange`, runs
 stage → route → merge for every user: CDC commits, with
-:func:`make_stager` as the map side over a changelog FILE list (one
-fused read+stage task per file) or a change-event Dataset
+:func:`make_stager` as the map side over a changelog FILE list (fused
+read+stage per file, one task per cluster CPU) or a change-event Dataset
 (``map_batches(stage_block, batch_size=None)``), and the derived views'
 refreshes (``views.refresh``, ``window_view.refresh_windowed``), which
 stage signed partial aggregates and late rows through it.
@@ -55,6 +58,7 @@ with at-least-once tailing + idempotent sink = exactly-once observable.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time as _time_mod
@@ -84,7 +88,7 @@ from ..core.reconcile import (
 )
 from ..state import manifest as mf
 from ..state.fs import StorageAdapter, default_fs
-from .tasks import run_tasks
+from .tasks import chunks, cluster_cpus, run_tasks
 from .telemetry import merge_sketch_json, sketch_stats_json
 
 PART_COLUMN = "_part"
@@ -269,7 +273,7 @@ def _write_bloom_sidecar(rows: pa.Table, file_abs: str, fs: StorageAdapter) -> N
 
 def _stats_fields(rows: pa.Table) -> dict:
     """Payload zone maps + KLL sketches of ``rows``, JSON-encoded strings
-    in the entry row a plain task per partition returns to the driver."""
+    in the entry row a merge or rewrite returns per partition to the driver."""
     return {"col_stats": _col_stats_json(rows), "col_sketch": sketch_stats_json(rows)}
 
 
@@ -506,20 +510,24 @@ def exchange(source, partition, merge, root_dir: str, epoch: int,
 
     Stage: ``partition(t) -> (rows, part_ids)`` runs once per input unit
     and :func:`_write_staged` writes its rows as one IPC file. ``source``
-    is a list of parquet FILE PATHS, one fused read+stage task per file
-    (see :func:`~.tasks.run_tasks`; zero plasma hops for the payload)
-    staged under the deterministic name ``<parent dir>-<stem>``, so a
-    retried task overwrites its own output byte-identically; or a
+    is a list of parquet FILE PATHS, a fused read+stage per file in
+    ``run_tasks``' one task per cluster CPU (zero plasma hops for the
+    payload), staged under the deterministic name ``<parent
+    dir>-<stem>``, so a retried task overwrites its own output
+    byte-identically; or a
     Dataset, one ``map_batches(stage_block, batch_size=None)`` call per
     block staged under a fresh ``block-<uuid>`` name — the driver routes
     only the files the successful attempts returned, so a retried
     attempt's orphan is never read.
 
     Route: partition K gets batch ``i`` of every staged file whose
-    ``parts[i] == K``, files in name order. Merge: ``merge(K, rows)``
-    runs as one plain task per touched partition, ``rows`` the
-    concatenation of exactly its routed batches (nothing is listed); the
-    merge rows come back in partition order.
+    ``parts[i] == K``, files in name order. Merge: the touched partitions
+    split into contiguous runs, one plain task per cluster CPU
+    (:func:`~.tasks.chunks`). A task opens each file routed to its run
+    once (one footer parse) and calls ``merge(K, rows)`` for its
+    partitions one at a time, ``rows`` the concatenation of exactly K's
+    routed batches (nothing is listed), so it holds one partition's
+    batches at a time; the merge rows come back in partition order.
 
     Staging is attempt-unique, ``<root_dir>/_staging/epoch-EEEEEE-<uuid>``:
     two live drivers racing the same epoch must not stage into (or wipe)
@@ -558,11 +566,23 @@ def exchange(source, partition, merge, root_dir: str, epoch: int,
             staged.setdefault(int(k), []).append((r["file"], i))
     t_merge = _time_mod.perf_counter()
 
-    def merge_item(item: dict) -> dict:
-        return merge(item["part"], pa.concat_tables(
-            [fs.read_arrow_batch(f, i) for f, i in item["staged"]], promote_options="default"))
+    def merge_run(item: dict) -> dict:
+        # each routed file is opened once; its batches are read lazily in
+        # partition order, so one partition's batches are held at a time
+        wanted: dict[str, list[int]] = {}
+        for _, routed in item["routes"]:
+            for f, i in routed:
+                wanted.setdefault(f, []).append(i)
+        with contextlib.ExitStack() as files:
+            batches = {f: files.enter_context(contextlib.closing(fs.read_arrow_batches(f, idx)))
+                       for f, idx in wanted.items()}
+            return {"rows": [merge(k, pa.concat_tables([next(batches[f]) for f, _ in routed],
+                                                       promote_options="default"))
+                             for k, routed in item["routes"]]}
 
-    rows = run_tasks(merge_item, [{"part": k, "staged": staged[k]} for k in sorted(staged)])
+    runs = chunks([(k, staged[k]) for k in sorted(staged)])
+    rows = [r for out in run_tasks(merge_run, [{"routes": run} for run in runs])
+            for r in out["rows"]]
     fs.rmtree(staging)
     return rows, {"stage": round(t_merge - t_stage, 3),
                   "merge": round(_time_mod.perf_counter() - t_merge, 3)}
@@ -657,8 +677,8 @@ def apply_events_dataset(
     list always wins.
 
     ``events_ds`` is a change-event Dataset, staged one block per
-    ``map_batches`` call, or a list of parquet FILE PATHS, staged one
-    fused read+stage task per file (zero plasma hops for the payload).
+    ``map_batches`` call, or a list of parquet FILE PATHS, staged by a
+    fused read+stage per file (zero plasma hops for the payload).
     Either way it goes through the one :func:`exchange`, with
     :func:`make_stager` as its map side and :func:`make_staged_merger` as
     its merge.
@@ -1169,8 +1189,9 @@ def scan_partitions(
     - zone-map prune: with ``bounds``, partitions whose committed
       ``col_stats`` prove no overlap are skipped before any file opens;
     - one map over the surviving partitions, split into one block per
-      cluster CPU (at most); a task reads its partitions one by one and
-      yields one ``fn`` output each, so it holds one partition at a time.
+      cluster CPU (at most; :func:`~.tasks.cluster_cpus`); a task reads
+      its partitions one by one and yields one ``fn`` output each, so it
+      holds one partition at a time.
       Tasks retry (``max_retries=4``) on any exception, delta-free reads
       included;
     - delta-free partitions: the filter (``predicate`` AND the bounds) is
@@ -1189,7 +1210,6 @@ def scan_partitions(
     result is an empty Dataset typed as ``read_schema``, not as ``fn``'s
     output: a reducer guards that case itself."""
     import pyarrow.dataset as pads
-    from ray._private.auto_init_hook import auto_init_ray
 
     full = manifest.schema
     if predicate is None:
@@ -1228,10 +1248,8 @@ def scan_partitions(
             t = conform(scan_one(item), read_schema)
             yield fn(t, item["part"])
 
-    # a caller without a Ray session gets one, as from any Ray Data read
-    auto_init_ray()
-    tasks = min(len(items), int(ray.cluster_resources().get("CPU", 1)))
-    return ray.data.from_items(items, override_num_blocks=tasks).map_batches(
+    return ray.data.from_items(
+        items, override_num_blocks=min(len(items), cluster_cpus())).map_batches(
         scan_group, batch_size=None, batch_format="pyarrow",
         retry_exceptions=True, max_retries=4,
     )

@@ -71,7 +71,8 @@ def _rewrite_partitions(
     deltas) → optional ``transform`` → ``cdc.partition_entry`` (atomic
     write, bloom sidecar, exact zone maps) → ``cdc.fold_entry`` into a
     same-epoch ``rev+1`` manifest under the commit fence. One plain Ray
-    task per partition (``tasks.run_tasks``); O(P) driver rows.
+    task per cluster CPU (``tasks.run_tasks``), each rewriting a run of
+    partitions one at a time; O(P) driver rows.
 
     ``file_tag`` discriminates the output filename per operation
     (``data-e{epoch}r{rev}{tag}.parquet``): retries of the SAME
@@ -121,7 +122,8 @@ def compact(table_dir: str, min_deltas: int = 1, fs=None) -> mf.TableManifest | 
     """Fold merge-on-read deltas back into per-partition base files —
     a physical rewrite of IDENTICAL logical state, committed as a same-epoch
     revision (``rev+1``; the (epoch, rev) fence keeps stale attempts out).
-    One Ray task per delta-carrying partition; partitions below
+    Delta-carrying partitions are rewritten by one task per cluster CPU
+    (see :func:`_rewrite_partitions`); partitions below
     ``min_deltas`` pending deltas (and all copy-on-write partitions) are
     untouched. Returns the new manifest, or None if nothing to compact
     or a racing rewrite already superseded this revision."""
@@ -219,7 +221,7 @@ def cluster_table(
     point lookups keep their Bloom sidecars; they only lose doc_id
     row-group locality inside clustered files, the inherent clustering
     trade. ``epoch_counters["clustered_by"]`` records the active order
-    for ``status``. One Ray task per partition; O(P) driver rows.
+    for ``status``. One Ray task per cluster CPU; O(P) driver rows.
 
     ``zorder=True`` orders by the interleaved-bit Morton code over
     ``by`` (≥2, ≤4 columns) instead of lexicographically — the true
@@ -401,9 +403,10 @@ def retire_dropped(table_dir: str, column: str | None = None, fs=None) -> dict:
     """Clear column-DROP tombstones whose bytes no longer exist in any
     current-manifest data file, making the name safe to re-introduce.
 
-    A distributed FOOTER scan — one plain Ray task per committed file
-    (``tasks.run_tasks``) reads its parquet schema, payload never
-    touched, and reports which tombstoned names the file still carries;
+    A distributed FOOTER scan — plain Ray tasks, one per cluster CPU
+    (``tasks.run_tasks``), read each committed file's parquet schema,
+    payload never touched, and report which tombstoned names the file
+    still carries;
     tombstones found in zero files are retired in a same-epoch revision
     commit, the rest stay pending.
     Returns ``{"retired": [...], "pending": {column: files_still_carrying}}``.

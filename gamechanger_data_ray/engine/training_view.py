@@ -171,8 +171,8 @@ def _run_packs(table_dir: str, out_dir: str, work: list[dict],
                schema_b64: str, cap: int, seed: int,
                fs: StorageAdapter,
                mixture: dict[str, float] | None = None) -> dict[str, dict]:
-    """Distribute the dirty-bucket packs (one plain Ray task per bucket,
-    ``tasks.run_tasks``)."""
+    """Distribute the dirty-bucket packs (plain Ray tasks, one per
+    cluster CPU, ``tasks.run_tasks``)."""
     def pack(item: dict) -> dict:
         return _pack_bucket(
             table_dir, item["files"], item["part"], schema_b64,

@@ -16,8 +16,9 @@ DATA THAT CHANGED, not the table:
       → IPC exchange            # the engine's one exchange (cdc.exchange,
                                 # the same one a CDC commit runs): the
                                 # driver routes (file, batch) pairs
-      → run_tasks merge         # one plain task per dirty partition: old
-                                # view rows + routed partials → one SUM
+      → run_tasks merge         # one plain task per cluster CPU, each a
+                                # run of dirty partitions, one at a time:
+                                # old view rows + routed partials → one SUM
                                 # fold; groups whose count reaches 0 drop
                                 # out; deterministic file per epoch
       → commit view manifest    # same atomic pointer-swap + epoch
@@ -249,8 +250,9 @@ def _make_part_merger(
     epoch: int,
     fs: StorageAdapter,
 ):
-    """Merge side of the view's exchange, one task per dirty partition:
-    old stored rows (absorbed as sign=+1 partials — they ARE the fold of
+    """Merge side of the view's exchange, called once per dirty
+    partition (by one task per cluster CPU, see ``cdc.exchange``): old
+    stored rows (absorbed as sign=+1 partials — they ARE the fold of
     all previous epochs) + the routed delta partials → new deterministic
     file. Returns the partition's ``{part, file, rows}`` row."""
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import posixpath
 import uuid
+from collections.abc import Iterator
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -191,12 +192,17 @@ class StorageAdapter:
 
         self._publish(path, write, tag="inprogress")
 
-    def read_arrow_batch(self, path: str, i: int) -> pa.Table:
-        """Record batch ``i`` of an IPC file written by
-        :meth:`write_arrow_batches`; the footer locates it, so no other
-        batch is read."""
+    def read_arrow_batches(self, path: str, indices: list[int]) -> Iterator[pa.Table]:
+        """Yield record batch ``i`` of an IPC file written by
+        :meth:`write_arrow_batches` for each ``i`` in ``indices``, in
+        order, from ONE open and one footer parse; the footer locates
+        each batch, so no other batch is read. Lazy: a batch is read when
+        the consumer asks for it, and the file stays open until the
+        generator is exhausted or closed."""
         with self.fs.open_input_file(path) as f:
-            return pa.Table.from_batches([pa.ipc.open_file(f).get_batch(i)])
+            reader = pa.ipc.open_file(f)
+            for i in indices:
+                yield pa.Table.from_batches([reader.get_batch(i)])
 
 
 def _row_groups_holding(meta: pq.FileMetaData, keys: list) -> list[int]:

@@ -183,13 +183,19 @@ def _atomic_write(path: str, data: str) -> None:
     os.replace(tmp, path)
 
 
+def _pointer(table_dir: str, fs: StorageAdapter) -> dict | None:
+    """The ``_CURRENT`` pointer (``epoch``, ``rev``, ``manifest``), or None
+    for a fresh table."""
+    ptr = os.path.join(table_dir, CURRENT_POINTER)
+    return json.loads(fs.read_text(ptr)) if fs.exists(ptr) else None
+
+
 def load_current(table_dir: str, fs: StorageAdapter | None = None) -> TableManifest | None:
     """The committed manifest, or None for a fresh table."""
     fs = default_fs(fs)
-    ptr = os.path.join(table_dir, CURRENT_POINTER)
-    if not fs.exists(ptr):
+    p = _pointer(table_dir, fs)
+    if p is None:
         return None
-    p = json.loads(fs.read_text(ptr))
     return TableManifest.from_json(
         fs.read_text(os.path.join(table_dir, MANIFEST_DIR, p["manifest"]))
     )
@@ -230,8 +236,11 @@ def swap_pointer(table_dir: str, manifest: TableManifest,
 
 
 def committed_epoch(table_dir: str, fs: StorageAdapter | None = None) -> int:
-    cur = load_current(table_dir, fs)
-    return cur.epoch if cur else 0
+    """The committed epoch (0 for a fresh table), read from the small
+    ``_CURRENT`` pointer alone: the replay and tail loops ask it once per
+    commit, and the manifest it names grows with the partition count."""
+    p = _pointer(table_dir, default_fs(fs))
+    return int(p["epoch"]) if p else 0
 
 
 def manifest_ids(table_dir: str, fs: StorageAdapter | None = None) -> list[tuple[int, int]]:

@@ -121,3 +121,53 @@ def test_exchange_stages_one_ipc_file_per_input_file(tmp_path):
     assert "parquet" not in notes and "list" not in notes
     assert len(mf.load_current(t_rec).partitions) == 16
     assert table_to_arrow(t_rec).equals(table_to_arrow(t_plain))
+
+
+def test_commit_pools_are_sized_to_the_cluster(tmp_path):
+    """One epoch of F=4 changelog files into P=16 partitions starts at most
+    one stage task and one merge task per cluster CPU, each merge task
+    opens each staged file at most once for its whole run of partitions,
+    and the epoch still stages exactly F files."""
+    import uuid
+
+    import ray
+
+    from gamechanger_data_ray.engine.tasks import cluster_cpus
+    from gamechanger_data_ray.state.fs import StorageAdapter
+
+    cd = str(tmp_path / "cl")
+    write_changelog(cd, num_epochs=1, events_per_epoch=2000, num_keys=400,
+                    rows_per_file=600)
+    rec = str(tmp_path / "rec")
+    os.makedirs(rec)
+
+    class Recording(StorageAdapter):  # stage/merge tasks run in workers
+        def _note(self, kind, path):
+            task = ray.get_runtime_context().get_task_id()
+            with open(os.path.join(rec, f"{kind}-{uuid.uuid4().hex}"), "w") as f:
+                f.write(f"{task} {path}")
+
+        def write_arrow_batches(self, path, tables):
+            self._note("stage", path)
+            StorageAdapter.write_arrow_batches(self, path, tables)
+
+        def read_arrow_batches(self, path, indices):
+            self._note("open", path)
+            return StorageAdapter.read_arrow_batches(self, path, indices)
+
+    t_rec, t_plain = str(tmp_path / "rec_tb"), str(tmp_path / "plain_tb")
+    replay(cd, t_rec, num_partitions=16, fs=Recording())
+    replay(cd, t_plain, num_partitions=16)
+    notes: dict[str, list[tuple[str, str]]] = {}
+    for n in os.listdir(rec):
+        with open(os.path.join(rec, n)) as f:
+            notes.setdefault(n.split("-", 1)[0], []).append(tuple(f.read().split(" ", 1)))
+    cpus = cluster_cpus()
+    staged = {path for _, path in notes["stage"]}
+    assert len(notes["stage"]) == len(staged) == 4
+    assert len({task for task, _ in notes["stage"]}) <= cpus
+    assert len({task for task, _ in notes["open"]}) <= cpus
+    assert len(notes["open"]) == len(set(notes["open"]))  # once per (task, file)
+    assert {path for _, path in notes["open"]} == staged
+    assert len(mf.load_current(t_rec).partitions) == 16
+    assert table_to_arrow(t_rec).equals(table_to_arrow(t_plain))

@@ -17,6 +17,7 @@ from gamechanger_data_ray.engine.cdc import (
 )
 from gamechanger_data_ray.core.reconcile import unify_all
 import glob
+import uuid
 
 import pyarrow.parquet as pq
 import ray.data
@@ -166,5 +167,66 @@ def test_commit_and_compact_retry_flaky_storage_writes(tmp_path):
     clean_rows, clean_files = build(str(tmp_path / "clean"))
     rows, files = build(str(tmp_path / "flaky"), fs=FlakyWrites())
     assert len(os.listdir(marker_dir)) > 0  # failures really were injected
+    assert rows.equals(clean_rows)
+    assert files == clean_files
+
+
+def test_retried_chunk_rewrites_its_finished_items(tmp_path):
+    """A task pool runs a run of items per task, so a transient write
+    failure (the SECOND write per worker process) retries a chunk whose
+    first item already published its files: the re-run rewrites them
+    byte-identically, and a merge-on-read replay plus a compaction
+    converge to the clean run's table and data files. P=16 on the
+    session's CPUs puts several partitions in each merge and rewrite
+    task."""
+    import hashlib
+
+    from gamechanger_data_ray.engine.maintenance import compact
+    from gamechanger_data_ray.state import manifest as mf
+    from gamechanger_data_ray.state.fs import StorageAdapter
+
+    cd = str(tmp_path / "cl")
+    write_changelog(cd, num_epochs=2, events_per_epoch=400, num_keys=100)
+    marker_dir = str(tmp_path / "markers")
+    os.makedirs(marker_dir)
+
+    class FlakyWrites(StorageAdapter):
+        def _fail_second(self, path):
+            marker = os.path.join(marker_dir, f"pid-{os.getpid()}")
+            n = 1
+            if os.path.exists(marker):
+                with open(marker) as f:
+                    n += int(f.read())
+            with open(marker, "w") as f:
+                f.write(str(n))
+            if n == 2:
+                raise OSError("injected transient write failure")
+            done = os.path.join(marker_dir, "done-" + hashlib.sha256(path.encode()).hexdigest())
+            if os.path.exists(done):
+                open(os.path.join(marker_dir, f"rerun-{uuid.uuid4().hex}"), "w").close()
+            open(done, "w").close()
+
+        def write_parquet_atomic(self, table, path, row_group_size=None):
+            self._fail_second(path)
+            StorageAdapter.write_parquet_atomic(self, table, path, row_group_size)
+
+        def write_arrow_batches(self, path, tables):  # the stage tasks' write
+            self._fail_second(path)
+            StorageAdapter.write_arrow_batches(self, path, tables)
+
+    def build(tb, fs=None):
+        replay(cd, tb, num_partitions=16, merge_policy="delta",
+               epochs_per_commit=1, fs=fs)
+        assert compact(tb, fs=fs) is not None
+        digests = {}
+        for f in mf.load_current(tb).data_files(tb):
+            with open(f, "rb") as fh:
+                digests[os.path.relpath(f, tb)] = hashlib.sha256(fh.read()).hexdigest()
+        return table_to_arrow(tb), digests
+
+    clean_rows, clean_files = build(str(tmp_path / "clean"))
+    rows, files = build(str(tmp_path / "flaky"), fs=FlakyWrites())
+    markers = os.listdir(marker_dir)
+    assert any(m.startswith("rerun-") for m in markers)  # a finished item re-ran
     assert rows.equals(clean_rows)
     assert files == clean_files

@@ -1,6 +1,6 @@
 """``engine.tasks.run_tasks``: the plain-task pool behind every
-control-plane step (stage, merge, rewrite, restamp, footer scan, join,
-pack, export totals)."""
+control-plane step (stage, merge, view merges, rewrite, footer scan,
+join, pack), at most one task per cluster CPU."""
 
 from __future__ import annotations
 
@@ -26,6 +26,25 @@ def test_rows_come_back_in_item_order():
 
     rows = run_tasks(slow_first, [{"i": i} for i in range(4)])
     assert rows == [{"i": i, "sq": i * i} for i in range(4)]
+
+
+def test_items_run_in_at_most_one_task_per_cpu():
+    def where(item):
+        return {"i": item["i"], "task": ray.get_runtime_context().get_task_id()}
+
+    rows = run_tasks(where, [{"i": i} for i in range(10)])
+    assert [r["i"] for r in rows] == list(range(10))
+    assert len({r["task"] for r in rows}) <= tasks.cluster_cpus()
+
+
+def test_chunks_are_contiguous_and_balanced():
+    cpus = tasks.cluster_cpus()
+    assert tasks.chunks([]) == []
+    for n in (1, cpus, cpus + 1, 3 * cpus + 2):
+        runs = tasks.chunks(list(range(n)))
+        assert len(runs) == min(n, cpus)
+        assert [x for run in runs for x in run] == list(range(n))
+        assert max(map(len, runs)) - min(map(len, runs)) <= 1
 
 
 def test_no_items_start_no_task(monkeypatch):
