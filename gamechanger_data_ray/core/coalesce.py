@@ -22,10 +22,12 @@ killed by a reset in one partial stays killed in every union containing
 it. Raw events are lifted by giving every non-null cell its row's
 (lsn, seq).
 
-Cross-epoch assumption (checked by the engine): stored state keeps ONE
-row order (the key's max (lsn, seq)), not per-column orders — sound
-because the changelog contract makes lsn epoch-monotone, so every future
-event outranks every stored cell. Within an epoch (and across duplicate
+Cross-epoch assumption (NOT checked anywhere): stored state keeps ONE
+row order (the key's max (lsn, seq)), not per-column orders — sound only
+while every future event outranks every stored cell, which the changelog
+contract's epoch-monotone lsn promises. Nothing verifies it, and "event
+lsn > watermark" would be the wrong check: a relay's diff tombstones
+carry the deleted row's old lsn. Within an epoch (and across duplicate
 or out-of-order deliveries of it) the per-column orders give exact
 resolution.
 
@@ -36,11 +38,20 @@ loops.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .merge import EVENTS_REP, TOMBS_REP
+from .merge import (
+    EVENTS_REP,
+    TOMBS_REP,
+    drop_weights,
+    event_weights,
+    key_codes,
+    merge_partition_with,
+)
 from .schemas import KEY_COLUMN, OP_COLUMN, ORDER_COLUMNS, TOMBSTONE_OP
 
 ORD_LSN = "_olsn_"  # per-column order prefix (transient exchange columns)
@@ -100,30 +111,16 @@ def _last_per_group(codes: np.ndarray, l: np.ndarray, s: np.ndarray,
     return out
 
 
-def coalesce_reduce(t: pa.Table) -> pa.Table:
-    """Reduce to ≤1 row per key under column-coalesce semantics. Input
-    must be lifted (``attach_orders``); output stays lifted, so the reduce
-    composes with itself (combiner → exchange → merge). Weight columns
-    (``EVENTS_REP``/``TOMBS_REP``) are attached/summed exactly as in the
-    LWW combiner so lineage counters stay exact."""
-    if t.num_rows == 0:
-        return t
+def _reduce_lifted(t: pa.Table) -> tuple[pa.Table, np.ndarray]:
+    """The body of :func:`coalesce_reduce` on a non-empty lifted table;
+    also returns, per output row, the index in ``t`` of its row winner."""
     t = t.combine_chunks()
     n = t.num_rows
-    codes_arr = pc.dictionary_encode(t[KEY_COLUMN])
-    if isinstance(codes_arr, pa.ChunkedArray):
-        codes_arr = codes_arr.combine_chunks()
-    codes = codes_arr.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    codes = key_codes(t[KEY_COLUMN])
     ncodes = int(codes.max()) + 1
 
     # weights (compose: re-reduce sums them)
-    if EVENTS_REP in t.schema.names:
-        w = t[EVENTS_REP].to_numpy(zero_copy_only=False)
-        wt = t[TOMBS_REP].to_numpy(zero_copy_only=False)
-    else:
-        w = np.ones(n, dtype=np.int64)
-        wt = pc.equal(t[OP_COLUMN], pa.scalar(TOMBSTONE_OP)).to_numpy(
-            zero_copy_only=False).astype(np.int64)
+    w, wt = event_weights(t)
     events_per_key = np.bincount(codes, weights=w, minlength=ncodes).astype(np.int64)
     tombs_per_key = np.bincount(codes, weights=wt, minlength=ncodes).astype(np.int64)
 
@@ -164,7 +161,18 @@ def coalesce_reduce(t: pa.Table) -> pa.Table:
     cols[TOMBS_REP] = pa.array(tombs_per_key, pa.int64())
     # winner op: the row winner's op (a D at the max order means the key
     # is currently deleted; every cell is ≤ the floor then, hence null)
-    return pa.table(cols)
+    return pa.table(cols), win
+
+
+def coalesce_reduce(t: pa.Table) -> pa.Table:
+    """Reduce to ≤1 row per key under column-coalesce semantics. Input
+    must be lifted (``attach_orders``); output stays lifted, so the reduce
+    composes with itself (combiner → exchange → merge). Weight columns
+    (``EVENTS_REP``/``TOMBS_REP``) are attached/summed exactly as in the
+    LWW combiner so lineage counters stay exact."""
+    if t.num_rows == 0:
+        return t
+    return _reduce_lifted(t)[0]
 
 
 def strip_transients(t: pa.Table) -> pa.Table:
@@ -173,88 +181,39 @@ def strip_transients(t: pa.Table) -> pa.Table:
     return t.drop_columns(drop) if drop else t
 
 
+def _coalesce_merge_reduce(state: pa.Table | None,
+                           events: pa.Table) -> tuple[pa.Table, pa.Array]:
+    """Coalesce winners of state + events: stored rows join the reduce as
+    fully-written cells at their stored row order (sound only under the
+    module docstring's cross-epoch assumption), events as lifted partials.
+    A key's row winner is the LAST row at its max (lsn, seq), so an event
+    re-delivered at a state row's exact order wins."""
+    events = attach_orders(events)
+    both = events if state is None else pa.concat_tables(
+        [attach_orders(state), events], promote_options="default")
+    if both.num_rows == 0:
+        return both, pa.array([], pa.bool_())
+    won, win = _reduce_lifted(both)
+    return won, pa.array(win >= both.num_rows - events.num_rows)
+
+
 def merge_partition_coalesce(
     state: pa.Table | None,
     events: pa.Table,
 ) -> tuple[pa.Table, dict[str, int]]:
-    """Partition merge under coalesce semantics: stored state rows join
-    the reduce as fully-written cells at their stored row order (sound —
-    see module docstring), events as lifted partials. Same counter
-    contract as :func:`core.merge.merge_partition`."""
-    events = attach_orders(events)
-    if EVENTS_REP in events.schema.names:
-        events_in = int(pc.sum(events[EVENTS_REP]).as_py() or 0)
-        tombstones = int(pc.sum(events[TOMBS_REP]).as_py() or 0)
-    else:
-        events_in = events.num_rows
-        tombstones = int(pc.sum(pc.cast(pc.equal(
-            events[OP_COLUMN], pa.scalar(TOMBSTONE_OP)), pa.int64())).as_py() or 0) \
-            if events.num_rows else 0
-        events = events.append_column(EVENTS_REP, pa.array(
-            np.ones(events.num_rows, dtype=np.int64)))
-        events = events.append_column(TOMBS_REP, pa.array(pc.cast(pc.equal(
-            events[OP_COLUMN], pa.scalar(TOMBSTONE_OP)), pa.int64())))
-    counters = {
-        "events_in": events_in, "tombstones": tombstones,
-        "upserts": 0, "deletes": 0, "rows_out": 0,
-        "watermark_lsn": int(pc.max(events["lsn"]).as_py() or 0)
-        if events.num_rows else 0,
-    }
-    # origin rides as a lifted "cell": it is never null, so its cell order
-    # equals the row order and it coalesces to the MAX row's origin —
-    # exactly "did an event row win this key"
-    ORIGIN = "_origin"
-    ev_n = events.num_rows
-    events = events.append_column(ORIGIN, pa.array(np.ones(ev_n, dtype=np.int8)))
-    events = events.append_column(ORD_LSN + ORIGIN, events["lsn"])
-    events = events.append_column(ORD_SEQ + ORIGIN, events["seq"])
-    state_keys: set = set()
-    if state is not None and state.num_rows:
-        lifted = attach_orders(state)
-        lifted = lifted.append_column(ORIGIN, pa.array(
-            np.zeros(state.num_rows, dtype=np.int8)))
-        lifted = lifted.append_column(ORD_LSN + ORIGIN, lifted["lsn"])
-        lifted = lifted.append_column(ORD_SEQ + ORIGIN, lifted["seq"])
-        lifted = lifted.append_column(EVENTS_REP, pa.array(
-            np.zeros(state.num_rows, dtype=np.int64)))
-        lifted = lifted.append_column(TOMBS_REP, pa.array(
-            np.zeros(state.num_rows, dtype=np.int64)))
-        state_keys = set(state[KEY_COLUMN].to_pylist())
-        both = pa.concat_tables([lifted, events], promote_options="default")
-    else:
-        both = events
-    won = coalesce_reduce(both)
-    if won.num_rows:
-        is_del = pc.equal(won[OP_COLUMN], pa.scalar(TOMBSTONE_OP))
-        from_event = pc.equal(pc.fill_null(won[ORIGIN], 1), pa.scalar(1, pa.int8()))
-        counters["upserts"] = int(pc.sum(pc.cast(
-            pc.and_(pc.invert(is_del), from_event), pa.int64())).as_py() or 0)
-        dels = is_del.to_pylist()
-        keys = won[KEY_COLUMN].to_pylist()
-        counters["deletes"] = sum(1 for k, d in zip(keys, dels) if d and k in state_keys)
-        won = won.filter(pc.invert(is_del))
-    # per-column cell-write lineage: how many surviving rows' CURRENT cell
-    # was (re)written by this epoch's events. Sound because lsn is
-    # epoch-monotone: every event cell order ≥ this epoch's min lsn,
-    # every carried state cell order < it.
-    import json as _json
-
+    """Partition merge under coalesce semantics: the counters of
+    :func:`core.merge.merge_partition_with` plus ``cell_writes``, JSON
+    ``{column: n}`` — how many surviving rows' CURRENT cell was
+    (re)written by this epoch's events. Sound because lsn is
+    epoch-monotone: every event cell order ≥ this epoch's min lsn, every
+    carried state cell order < it."""
+    out, counters = merge_partition_with(state, events, _coalesce_merge_reduce)
     cell_writes: dict[str, int] = {}
-    if won.num_rows and events_in:
-        ev_min = int(pc.min(events["lsn"]).as_py() or 0)
-        for c in payload_columns(won.schema):
-            if c == ORIGIN:
-                continue
-            ol = won[ORD_LSN + c]
-            wrote = pc.and_(pc.is_valid(ol),
-                            pc.greater_equal(ol, pa.scalar(ev_min, pa.int64())))
-            n_w = int(pc.sum(pc.cast(wrote, pa.int64())).as_py() or 0)
+    if out.num_rows and counters["events_in"]:
+        ev_min = pc.min(events["lsn"])
+        for c in payload_columns(out.schema):
+            n_w = int(pc.sum(pc.greater_equal(out[ORD_LSN + c], ev_min)).as_py() or 0)
             if n_w:
                 cell_writes[c] = n_w
-    counters["cell_writes"] = _json.dumps(cell_writes)
-    drop = [c for c in (ORIGIN, EVENTS_REP, TOMBS_REP) if c in won.schema.names]
-    out = strip_transients(won.drop_columns(drop))
-    if out.num_rows:
-        out = out.take(pc.sort_indices(out, sort_keys=[(KEY_COLUMN, "ascending")]))
-    counters["rows_out"] = out.num_rows
-    return out, counters
+    counters["cell_writes"] = json.dumps(cell_writes)
+    return strip_transients(drop_weights(out)), counters

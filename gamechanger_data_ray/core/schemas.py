@@ -49,26 +49,7 @@ CHANGELOG_SCHEMA = pa.schema(list(EVENT_COLUMNS) + list(TOKENS_SCHEMA))
 # cumulative version-hash manifest, ``rpa/rpa_landing_zone_mover.py:100-129``).
 STATE_EXTRA_COLUMNS = ["lsn", "seq", "version_hash"]
 
-# Internal marker column used during a merge: 0 = row came from current
-# table state, 1 = row came from this epoch's events.
-ORIGIN_COLUMN = "_origin"
-
 KEY_COLUMN = "doc_id"
 ORDER_COLUMNS = ("lsn", "seq")
 OP_COLUMN = "op"
 TOMBSTONE_OP = "D"
-
-
-def payload_fields(schema: pa.Schema) -> list[pa.Field]:
-    """Fields of ``schema`` that are payload (not event/bookkeeping)."""
-    event_names = {f.name for f in EVENT_COLUMNS} | {ORIGIN_COLUMN}
-    return [schema.field(i) for i in range(len(schema)) if schema.field(i).name not in event_names]
-
-
-def state_schema_for(changelog_schema: pa.Schema) -> pa.Schema:
-    """Schema of a stored table partition for a given changelog schema:
-    payload columns + (lsn, seq, version_hash)."""
-    fields = [f for f in payload_fields(changelog_schema)]
-    for name in STATE_EXTRA_COLUMNS:
-        fields.append(changelog_schema.field(changelog_schema.get_field_index(name)))
-    return pa.schema(fields)

@@ -71,6 +71,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..core import changelog as cl
+from ..core.coalesce import attach_orders, coalesce_reduce, merge_partition_coalesce
 from ..core.hashing import partition_ids, state_content_sig
 from ..core.merge import (
     EVENTS_REP,
@@ -366,13 +367,15 @@ def _merge_one_partition(
     fs: StorageAdapter,
     update_mode: str = "replace",
 ) -> dict:
-    """Apply one partition's combined events under the given merge policy;
-    returns its entry row: ``part``, the :func:`fold_entry` fields and the
-    lineage counters (``COUNTER_KEYS`` plus ``cell_writes``, JSON).
+    """Apply one partition's combined events under the given merge policy
+    (checked by :func:`_apply`); returns its entry row: ``part``, the
+    :func:`fold_entry` fields and the lineage counters (``COUNTER_KEYS``
+    plus ``cell_writes``, JSON).
 
     ``rewrite`` (copy-on-write): read full state (resolving any pending
-    deltas — so a rewrite epoch doubles as compaction), LWW-merge, write
-    the new base file through :func:`partition_entry`.
+    deltas — so a rewrite epoch doubles as compaction), merge it with the
+    events by the table's ``update_mode`` (row-LWW or column-coalesce),
+    write the new base file through :func:`partition_entry`.
 
     ``delta`` (merge-on-read): write ONLY the epoch's combined events as
     ``delta-eEEEEEE.parquet`` plus its key sidecar — tombstones
@@ -384,23 +387,11 @@ def _merge_one_partition(
     via parquet projection. The Hudi/Iceberg MOR trade re-expressed over
     immutable hash partitions."""
     if policy == "rewrite":
-        state = _load_state(table_dir, state_rels, schema, fs)
-        if update_mode == "coalesce":
-            from ..core.coalesce import merge_partition_coalesce
-
-            merged, counters = merge_partition_coalesce(state, events)
-        else:
-            merged, counters = merge_partition(state, events)
+        merge = merge_partition_coalesce if update_mode == "coalesce" else merge_partition
+        merged, counters = merge(_load_state(table_dir, state_rels, schema, fs), events)
         entry = partition_entry(merged, table_dir, _partition_path(epoch, part), fs)
         return {"part": part, **entry, "cell_writes": counters.pop("cell_writes", ""),
                 **{k: int(counters[k]) for k in COUNTER_KEYS}}
-    if policy != "delta":
-        raise ValueError(f"unknown merge policy: {policy!r}")
-    if update_mode == "coalesce":
-        # read-time LWW resolution of deltas would wipe columns a partial
-        # update left null; coalesce-aware resolution is not implemented
-        raise ValueError("update_mode='coalesce' requires merge_policy='rewrite' "
-                         "(merge-on-read deltas resolve by row-LWW at read time)")
     winners = lww_reduce_weighted(events)
     idx_cols = [c for c in _INDEX_COLUMNS if c in winners.schema.names]
     state_idx = _load_state(table_dir, state_rels, schema, fs, columns=idx_cols)
@@ -428,8 +419,6 @@ def _combine(batch: pa.Table, update_mode: str) -> pa.Table:
     lifted representation composes through the exchange — see
     ``core/coalesce.py``)."""
     if update_mode == "coalesce":
-        from ..core.coalesce import attach_orders, coalesce_reduce
-
         return coalesce_reduce(attach_orders(batch))
     return lww_reduce_weighted(batch)
 
@@ -659,7 +648,6 @@ def apply_events_dataset(
     epoch: int,
     incoming_schema: pa.Schema,
     num_partitions: int = 32,
-    carry_forward: bool = True,
     merge_policy: str = "rewrite",
     fs: StorageAdapter | None = None,
     renames: dict[str, str] | None = None,
@@ -671,10 +659,9 @@ def apply_events_dataset(
     replay, manifest-driven I/U/D runs (S7) and revocation sweeps (J3).
 
     ``dropped_columns`` seeds the column-DROP tombstone list on a FRESH
-    table (``carry_forward=False`` rewrites such as repartition, which
-    must not let a still-sending producer resurrect a dropped column in
-    the new directory); on an existing table the committed manifest's
-    list always wins.
+    table (a rewrite into a new directory, such as repartition, must not
+    let a still-sending producer resurrect a dropped column there); on an
+    existing table the committed manifest's list always wins.
 
     ``events_ds`` is a change-event Dataset, staged one block per
     ``map_batches`` call, or a list of parquet FILE PATHS, staged by a
@@ -693,14 +680,12 @@ def apply_events_dataset(
     The hash-partition count is pinned by the first commit: on an existing
     table the stored ``num_partitions`` always wins (routing events with a
     different modulus than the state files would duplicate keys); use
-    :func:`repartition_table` to change it. ``carry_forward=False`` drops
-    untouched-partition carry-forward (repartition rewrites only)."""
+    :func:`repartition_table` to change it."""
     fs = default_fs(fs)
     return _apply(events_ds, table_dir, epoch, incoming_schema,
                   mf.load_current(table_dir, fs), num_partitions=num_partitions,
-                  carry_forward=carry_forward, merge_policy=merge_policy, fs=fs,
-                  renames=renames, update_mode=update_mode,
-                  dropped_columns=dropped_columns)
+                  merge_policy=merge_policy, fs=fs, renames=renames,
+                  update_mode=update_mode, dropped_columns=dropped_columns)
 
 
 def _apply(
@@ -711,7 +696,6 @@ def _apply(
     current: mf.TableManifest | None,
     num_partitions: int,
     fs: StorageAdapter,
-    carry_forward: bool = True,
     merge_policy: str = "rewrite",
     renames: dict[str, str] | None = None,
     update_mode: str = "replace",
@@ -722,13 +706,18 @@ def _apply(
     :func:`mf.commit` re-reads the pointer as its safety check)."""
     if update_mode not in ("replace", "coalesce"):
         raise ValueError(f"unknown update_mode: {update_mode!r}")
+    if merge_policy not in ("rewrite", "delta"):
+        raise ValueError(f"unknown merge policy: {merge_policy!r}")
     if update_mode == "coalesce" and merge_policy != "rewrite":
+        # read-time LWW resolution of merge-on-read deltas would wipe
+        # columns a partial update left null; coalesce-aware resolution is
+        # not implemented
         raise ValueError("update_mode='coalesce' requires merge_policy='rewrite'")
     if current is not None and current.epoch >= epoch:
         return None
-    if carry_forward and current is not None and current.num_partitions:
+    if current is not None and current.num_partitions:
         num_partitions = current.num_partitions
-    if current is not None and carry_forward:
+    if current is not None:
         # update semantics are a TABLE property: mixing replace- and
         # coalesce-merged epochs would silently change what an update
         # means for untouched columns
@@ -743,8 +732,7 @@ def _apply(
     # resurrect it — and can't even fail unification on a type conflict
     # in a column the table no longer has); ``conform`` to the unified
     # schema then discards the arriving values at the normalize boundary
-    drops = (list(current.dropped_columns)
-             if current is not None and carry_forward
+    drops = (list(current.dropped_columns) if current is not None
              else list(dropped_columns or []))
     if drops:
         incoming_schema = pa.schema(
@@ -766,7 +754,7 @@ def _apply(
         table_dir, epoch, fs)  # empty epoch: no merge task, manifest still advances
 
     # build the new manifest: carry forward untouched partitions
-    partitions = dict(current.partitions) if (current and carry_forward) else {}
+    partitions = dict(current.partitions) if current else {}
     epoch_counters: dict[str, Any] = {"per_partition": {}, **{k: 0 for k in COUNTER_KEYS}}
     for r in counter_rows:
         p = str(r["part"])

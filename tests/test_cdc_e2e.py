@@ -24,7 +24,13 @@ import pytest
 
 from gamechanger_data_ray.core.changelog import write_changelog
 from gamechanger_data_ray.core.reconcile import conform, unify_all
-from gamechanger_data_ray.engine.cdc import apply_epoch, read_table, replay, table_to_arrow
+from gamechanger_data_ray.engine.cdc import (
+    apply_epoch,
+    apply_events_dataset,
+    read_table,
+    replay,
+    table_to_arrow,
+)
 from gamechanger_data_ray.state import manifest as mf
 
 ORACLE_SQL = """
@@ -258,3 +264,17 @@ def test_late_data_cannot_regress_state(workdir):
     assert existing.equals(before)
     # … and the genuinely-new late key landed
     assert "doc-late-new" in after["doc_id"].to_pylist()
+
+
+def test_unknown_merge_policy_refused_before_staging(workdir):
+    """An unknown merge policy is refused on the driver with a plain
+    ValueError (not a retried task's error) before anything is staged."""
+    cd, td = os.path.join(workdir, "cl"), os.path.join(workdir, "tb")
+    write_changelog(cd, num_epochs=1, events_per_epoch=60, num_keys=20, seed=3)
+    files = sorted(glob.glob(os.path.join(cd, "epoch=*", "part-*.parquet")))
+    with pytest.raises(ValueError, match="unknown merge policy") as exc:
+        apply_events_dataset(files, td, 1, pq.read_schema(files[0]), num_partitions=4,
+                             merge_policy="bogus")
+    assert type(exc.value) is ValueError
+    assert not os.path.exists(os.path.join(td, "_staging"))
+    assert mf.load_current(td) is None
