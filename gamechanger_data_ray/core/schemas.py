@@ -1,8 +1,13 @@
-"""Authoritative Arrow schemas for the CDC engine.
+"""Column names and event order of the CDC engine.
 
 The lake table holds pre-tokenized training sequences (BASELINE.json
-input_hint); the changelog is the WAL the engine tails. Analogs in the
-reference (dod-advana/gamechanger-data):
+input_hint): ``doc_id`` string, ``tokens`` list<int32>, ``n_tok`` int32,
+``source`` string (the evolution epochs widen ``n_tok`` to int64 and add
+``lang``). The changelog is the WAL the engine tails: each event
+row is ``op``, ``lsn``, ``seq`` and ``version_hash`` ahead of that
+payload, and a table partition keeps the winning event's ``lsn``, ``seq``
+and ``version_hash`` beside it. ``core/changelog.py`` writes these shapes.
+Analogs in the reference (dod-advana/gamechanger-data):
 
 - tokens payload table  ~ the parsed-doc corpus snapshot
   (``dataPipelines/gc_db_utils/orch/sql/create_views.sql:16-44``)
@@ -20,34 +25,6 @@ reference (dod-advana/gamechanger-data):
 """
 
 from __future__ import annotations
-
-import pyarrow as pa
-
-# The lake table payload (BASELINE.json input_hint shape).
-TOKENS_SCHEMA = pa.schema(
-    [
-        pa.field("doc_id", pa.string()),
-        pa.field("tokens", pa.list_(pa.int32())),
-        pa.field("n_tok", pa.int32()),
-        pa.field("source", pa.string()),
-    ]
-)
-
-# Change-event columns prepended to the payload.
-EVENT_COLUMNS = [
-    pa.field("op", pa.string()),  # I | U | D
-    pa.field("lsn", pa.int64()),
-    pa.field("seq", pa.int64()),
-    pa.field("version_hash", pa.string()),
-]
-
-CHANGELOG_SCHEMA = pa.schema(list(EVENT_COLUMNS) + list(TOKENS_SCHEMA))
-
-# Columns persisted in table partitions beyond the payload: the winning
-# event's provenance, kept so later epochs can merge against state and so
-# exact dedup by (doc_id, version_hash) stays possible (reference analog:
-# cumulative version-hash manifest, ``rpa/rpa_landing_zone_mover.py:100-129``).
-STATE_EXTRA_COLUMNS = ["lsn", "seq", "version_hash"]
 
 KEY_COLUMN = "doc_id"
 ORDER_COLUMNS = ("lsn", "seq")

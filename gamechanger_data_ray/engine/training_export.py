@@ -46,7 +46,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from ..state.fs import StorageAdapter, default_fs
+from ..state.fs import StorageAdapter, default_fs, parquet_encodings
 from .cdc import _resolve_manifest, scan_partitions
 
 EXPORT_MARKER = "_EXPORT.json"
@@ -100,7 +100,7 @@ def export_training(
     shuffle index or an all-to-all ``random_shuffle`` of the payload —
     the only extra cost is hashing doc_ids, and the packing groupby
     exchanges the same bytes it always did)."""
-    from ..pipelines.tokens import chunk_sized_tokens
+    from ..pipelines.tokens import CHUNK_SCHEMA, chunk_sized_tokens
 
     fs = default_fs(fs)
     cur = _resolve_manifest(table_dir, epoch, fs)
@@ -171,7 +171,9 @@ def export_training(
         order = None if shuffle_seed is None else ["skey", "doc_id"]
         chunks = chunk_sized_tokens(stream, cap, per_bucket=per_bucket,
                                     order_cols=order)
-        chunks.write_parquet(out_dir, filesystem=fs.fs)  # same FS as the marker
+        # same FS as the marker, same encodings as the engine's data files
+        chunks.write_parquet(out_dir, filesystem=fs.fs,
+                             **parquet_encodings(CHUNK_SCHEMA))
     marker = {
         "table": table_dir,
         "epoch": cur.epoch,

@@ -31,6 +31,12 @@ PACK_CAP = 512  # tokens per packed training sequence
 _RANGE_WIDTH = 128  # docs per range bucket for the prefix-sum scan
 _CHUNKS_PER_GROUP = 64  # packed chunks assembled per shuffle group
 
+# the rows :func:`chunk_sized_tokens` emits: one packed sequence each
+CHUNK_SCHEMA = pa.schema([
+    ("chunk_id", pa.int64()), ("tokens", pa.list_(pa.int32())),
+    ("n_tok", pa.int64()),
+])
+
 
 # ---------------------------------------------------------------------------
 # Vocabulary statistics
@@ -577,14 +583,9 @@ def chunk_sized_tokens(
 
     pieces = sized.groupby("bucket").map_groups(split_pieces, batch_format="pyarrow")
 
-    _CHUNK_SCHEMA = pa.schema([
-        ("chunk_id", pa.int64()), ("tokens", pa.list_(pa.int32())),
-        ("n_tok", pa.int64()),
-    ])
-
     def assemble_range(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
-            return _CHUNK_SCHEMA.empty_table()
+            return CHUNK_SCHEMA.empty_table()
         t = t.sort_by([("chunk_id", "ascending"), ("pos", "ascending")])
         piece = t["piece"].combine_chunks()
         flat = pc.cast(piece.flatten(), pa.int32())

@@ -208,13 +208,15 @@ def commit(table_dir: str, manifest: TableManifest, fs: StorageAdapter | None = 
     already >= the manifest's — a stale/duplicate attempt must not move the
     table backwards (reference fence: ``snapshot/utils.py:193-195``).
     Same-epoch revisions (compaction: new files, identical logical state)
-    fence on ``rev``. On stores without atomic rename the pointer swap is a
+    fence on ``rev``. The fence reads the small ``_CURRENT`` pointer alone,
+    which holds both; the manifest it names grows with the partition
+    count. On stores without atomic rename the pointer swap is a
     plain PUT — see ``state/fs.py`` for the commit-protocol notes per
     store class.
     """
     fs = default_fs(fs)
-    cur = load_current(table_dir, fs)
-    if cur is not None and (cur.epoch, cur.rev) >= (manifest.epoch, manifest.rev):
+    cur = _pointer(table_dir, fs)  # a pointer older than revisions has no rev: 0
+    if cur is not None and (cur["epoch"], cur.get("rev", 0)) >= (manifest.epoch, manifest.rev):
         return False
     mdir = os.path.join(table_dir, MANIFEST_DIR)
     fs.makedirs(mdir)

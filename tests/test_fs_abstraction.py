@@ -91,6 +91,42 @@ def test_manifest_roundtrip_with_adapter(tmp_path):
     assert not mf.commit(td, man, fs)
 
 
+def test_commit_fence_reads_only_the_pointer(tmp_path):
+    """The (epoch, rev) fence is decided from ``_CURRENT`` alone: a commit
+    opens no ``_manifests/`` file, and a stale or duplicate (epoch, rev)
+    is still refused."""
+    import pyarrow as pa
+
+    class CountingReads(StorageAdapter):
+        def read_text(self, path):
+            self.read.append(path)
+            return StorageAdapter.read_text(self, path)
+
+        def read_bytes(self, path):
+            self.read.append(path)
+            return StorageAdapter.read_bytes(self, path)
+
+    fs = CountingReads()
+    fs.read = []
+    td = str(tmp_path / "t")
+    schema_b64 = mf.schema_to_b64(pa.schema([("doc_id", pa.string())]))
+
+    def man(epoch, rev=0):
+        return mf.TableManifest(epoch=epoch, schema_b64=schema_b64, rev=rev)
+
+    assert mf.commit(td, man(1), fs)
+    assert mf.commit(td, man(2), fs)
+    assert mf.commit(td, man(2, rev=1), fs)
+    assert not mf.commit(td, man(2, rev=1), fs)  # duplicate
+    assert not mf.commit(td, man(2), fs)  # older rev of the same epoch
+    assert not mf.commit(td, man(1, rev=5), fs)  # older epoch
+    assert fs.read
+    assert not [p for p in fs.read if mf.MANIFEST_DIR in p], fs.read
+    assert {os.path.basename(p) for p in fs.read} == {mf.CURRENT_POINTER}
+    got = mf.load_current(td)
+    assert (got.epoch, got.rev) == (2, 1)
+
+
 def _sorted_arrow(ds, keys=("doc_id",)):
     import pyarrow as pa
     import pyarrow.compute as pc
