@@ -30,13 +30,18 @@ def fnv1a64(arr: pa.Array | pa.ChunkedArray) -> np.ndarray:
     offs = np.frombuffer(s.buffers()[1], dtype=np.int64)[s.offset : s.offset + len(s) + 1]
     out = np.full(len(s), _FNV_OFFSET, dtype=np.uint64)
     # byte-position loop bounded by max string length; each iteration is
-    # vectorized over all rows that still have a byte at position i.
-    lens = offs[1:] - offs[:-1]
+    # vectorized over all rows that still have a byte at position i —
+    # every row below the shortest length, so those positions need no mask
+    starts = offs[:-1]
+    lens = offs[1:] - starts
+    minlen = int(lens.min()) if len(lens) else 0
     maxlen = int(lens.max()) if len(lens) else 0
-    for i in range(maxlen):
+    for i in range(minlen):
+        out ^= buf[starts + i]
+        out *= _FNV_PRIME
+    for i in range(minlen, maxlen):
         live = lens > i
-        idx = offs[:-1][live] + i
-        out[live] = (out[live] ^ buf[idx].astype(np.uint64)) * _FNV_PRIME
+        out[live] = (out[live] ^ buf[starts[live] + i]) * _FNV_PRIME
     return out
 
 

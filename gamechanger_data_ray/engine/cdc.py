@@ -319,7 +319,9 @@ def fold_entry(prev: dict | None, entry: dict) -> dict:
       delta IS the whole state, so it is exact.
     - ``file`` with ``watermark_lsn`` (copy-on-write epoch commit): the
       new base resolves and supersedes any deltas; stats and sketch are
-      exact.
+      exact. A ``folded`` row (a merge-on-read commit that resolved the
+      partition's delta stack into a new base) is the same, but keeps the
+      delta rule's watermark, the max of both.
     - ``file`` without ``watermark_lsn`` (same-epoch revision: compact,
       cluster, repair): as above, keeping ``prev``'s watermark.
     - neither (restamp): only stats and sketch are replaced, exact."""
@@ -337,10 +339,10 @@ def fold_entry(prev: dict | None, entry: dict) -> dict:
                                     int(entry["watermark_lsn"])),
                "deltas": [*prev.get("deltas", ()), entry["delta"]]}
     else:
-        out = {"file": entry["file"],
-               "rows": int(entry["rows"]),
-               "watermark_lsn": int(entry.get("watermark_lsn",
-                                              prev.get("watermark_lsn", 0)))}
+        wm = int(entry.get("watermark_lsn", prev.get("watermark_lsn", 0)))
+        if entry.get("folded"):
+            wm = max(wm, int(prev.get("watermark_lsn", 0)))
+        out = {"file": entry["file"], "rows": int(entry["rows"]), "watermark_lsn": wm}
     out |= {"key_min": entry["key_min"], "key_max": entry["key_max"],
             "content_sig": entry["content_sig"]}
     if not (entry.get("delta") and prev):
@@ -385,7 +387,17 @@ def _merge_one_partition(
     O(partition). Lineage counters stay EXACT by merging against a skinny
     (op, lsn, seq, doc_id) index of the current state — columns only,
     via parquet projection. The Hudi/Iceberg MOR trade re-expressed over
-    immutable hash partitions."""
+    immutable hash partitions.
+
+    ``fold`` (a merge-on-read commit on a partition already at its delta
+    budget, see :func:`_apply`): the delta this epoch would append is
+    resolved with the state straight into a new base,
+    ``data-eEEEEEE.parquet``, in the same commit. Each state file is read
+    once, in full; its index columns give the counters exactly as the
+    ``delta`` path does, and :func:`collapse_deltas` of the state plus the
+    epoch's delta body is the base — the rows a compaction of that delta
+    stack would write, late events included. The row carries ``folded``,
+    so :func:`fold_entry` keeps the delta rule's watermark."""
     if policy == "rewrite":
         merge = merge_partition_coalesce if update_mode == "coalesce" else merge_partition
         merged, counters = merge(_load_state(table_dir, state_rels, schema, fs), events)
@@ -394,12 +406,21 @@ def _merge_one_partition(
                 **{k: int(counters[k]) for k in COUNTER_KEYS}}
     winners = lww_reduce_weighted(events)
     idx_cols = [c for c in _INDEX_COLUMNS if c in winners.schema.names]
-    state_idx = _load_state(table_dir, state_rels, schema, fs, columns=idx_cols)
     ev_idx = winners.select(idx_cols + [EVENTS_REP, TOMBS_REP])
-    merged_idx, counters = merge_partition(state_idx, ev_idx)
     body = winners.drop_columns([EVENTS_REP, TOMBS_REP])
     if body.num_rows:
         body = body.take(pc.sort_indices(body, sort_keys=[("doc_id", "ascending")]))
+    if policy == "fold":
+        state = [conform(fs.read_parquet(os.path.join(table_dir, r)), schema)
+                 for r in state_rels]
+        _, counters = merge_partition(collapse_deltas([t.select(idx_cols) for t in state]),
+                                      ev_idx)
+        entry = partition_entry(collapse_deltas([*state, conform(body, schema)]),
+                                table_dir, _partition_path(epoch, part), fs)
+        return {"part": part, **entry, "folded": True, "cell_writes": "",
+                **{k: int(counters[k]) for k in COUNTER_KEYS}}
+    state_idx = _load_state(table_dir, state_rels, schema, fs, columns=idx_cols)
+    merged_idx, counters = merge_partition(state_idx, ev_idx)
     out_rel = _delta_path(epoch, part)
     out_abs = os.path.join(table_dir, out_rel)
     fs.makedirs(os.path.dirname(out_abs))
@@ -431,13 +452,15 @@ def make_staged_merger(
     policy: str = "rewrite",
     fs: StorageAdapter | None = None,
     update_mode: str = "replace",
+    fold: frozenset[int] = frozenset(),
 ):
     """The exchange's merge side (see :func:`exchange`): ``merge(part,
     events)`` gets one touched partition and the events the driver routed
     to it (already conformed + weight-carrying), reads the partition's
-    current state (base + pending deltas), merges under the given policy,
-    writes the deterministic output file and returns the partition's
-    entry row (see :func:`_merge_one_partition`). All I/O routes through
+    current state (base + pending deltas), merges under the given policy
+    (``"fold"`` for a partition in ``fold``), writes the deterministic
+    output file and returns the partition's entry row (see
+    :func:`_merge_one_partition`). All I/O routes through
     the StorageAdapter (picklable; carried into the task closure) so the
     merge runs against any pyarrow filesystem; publication is
     atomic-rename on POSIX, atomic-PUT on object stores — concurrent/stale
@@ -447,7 +470,8 @@ def make_staged_merger(
     def merge(part: int, events: pa.Table) -> dict:
         return _merge_one_partition(
             part, events, state_files.get(part, []), table_dir, epoch,
-            mf.schema_from_b64(unified_b64), policy, fs, update_mode)
+            mf.schema_from_b64(unified_b64), "fold" if part in fold else policy, fs,
+            update_mode)
 
     return merge
 
@@ -600,9 +624,16 @@ def apply_epochs(
     fs: StorageAdapter | None = None,
     renames: dict[str, str] | None = None,
     update_mode: str = "replace",
+    auto_compact: int | None = None,
 ) -> mf.TableManifest | None:
     """Apply a run of ready epochs to the table in ONE pipeline; returns the
     committed manifest (at ``max(epochs)``).
+
+    ``auto_compact=N`` is a merge-on-read delta budget: with
+    ``merge_policy="delta"``, a touched partition whose committed entry
+    already holds N deltas is resolved into a new base in this commit
+    instead of taking delta N+1 (see :func:`_merge_one_partition`); the
+    commit's ``epoch_counters["folded"]`` counts those partitions.
 
     ``renames`` is an old→new column-name map applied at the source
     boundary (each file's batch AND footer schema) before schema
@@ -639,7 +670,8 @@ def apply_epochs(
     # write (no plasma round-trips)
     return _apply(files, table_dir, epoch, incoming, current,
                   num_partitions=num_partitions, merge_policy=merge_policy,
-                  fs=fs, renames=renames, update_mode=update_mode)
+                  fs=fs, renames=renames, update_mode=update_mode,
+                  auto_compact=auto_compact)
 
 
 def apply_events_dataset(
@@ -700,10 +732,12 @@ def _apply(
     renames: dict[str, str] | None = None,
     update_mode: str = "replace",
     dropped_columns: list[str] | None = None,
+    auto_compact: int | None = None,
 ) -> mf.TableManifest | None:
     """The body of :func:`apply_events_dataset` against the ``current``
     manifest its caller already loaded (one load per commit; the fenced
-    :func:`mf.commit` re-reads the pointer as its safety check)."""
+    :func:`mf.commit` re-reads the pointer as its safety check).
+    ``auto_compact`` is :func:`apply_epochs`' delta budget."""
     if update_mode not in ("replace", "coalesce"):
         raise ValueError(f"unknown update_mode: {update_mode!r}")
     if merge_policy not in ("rewrite", "delta"):
@@ -745,12 +779,19 @@ def _apply(
     unified_b64 = mf.schema_to_b64(unified)
     state_files = ({int(k): mf.entry_rels(v) for k, v in current.partitions.items()}
                    if current is not None else {})
+    # the delta budget: a partition already holding auto_compact deltas
+    # folds instead of stacking another
+    budget = merge_policy == "delta" and auto_compact is not None
+    held = current.partitions if current is not None else {}
+    fold = frozenset(p for p in range(num_partitions) if budget
+                     and len(held.get(str(p), {}).get("deltas", ())) >= auto_compact)
 
     counter_rows, phase_wall = exchange(
         events,
         make_stager(unified_b64, num_partitions, renames=renames, update_mode=update_mode),
         make_staged_merger(table_dir, epoch, unified_b64, state_files,
-                           policy=merge_policy, fs=fs, update_mode=update_mode),
+                           policy=merge_policy, fs=fs, update_mode=update_mode,
+                           fold=fold),
         table_dir, epoch, fs)  # empty epoch: no merge task, manifest still advances
 
     # build the new manifest: carry forward untouched partitions
@@ -773,6 +814,8 @@ def _apply(
     # per-phase wall clocks (driver-observed): surfaced via `history`/`jobs`
     # so a slow replay localizes to exchange vs merge without re-running
     epoch_counters["phase_wall"] = phase_wall
+    if budget:  # `history` shows where the delta budget compacted
+        epoch_counters["folded"] = sum(1 for r in counter_rows if r.get("folded"))
     epoch_counters["update_mode"] = update_mode
     # wall-clock commit stamp: drives time-based retention (vacuum
     # --keep-seconds). Same-epoch revisions inherit it (the epoch's
@@ -1081,9 +1124,13 @@ def tail(
     crashed tailer resumes from the committed watermark.
 
     With ``merge_policy="delta"``, ``auto_compact=N`` bounds delta stacking
-    during a long tail: whenever any partition accumulates > N pending
-    deltas, a compaction revision folds them — so read amplification stays
-    O(N) while write amplification stays O(changed keys)."""
+    during a long tail: a commit resolves each touched partition that
+    already holds N deltas into a new base in the same commit
+    (``apply_epochs(auto_compact=N)``), so read amplification stays O(N)
+    while write amplification stays O(changed keys) and a poll writes one
+    manifest. A partition still deeper than N after the commit (one it
+    did not touch, built without the budget) gets a compaction revision
+    (``maintenance.compact``)."""
     import time as _time
 
     fs = default_fs(fs)
@@ -1103,7 +1150,7 @@ def tail(
         m = apply_epochs(
             changelog_dir, table_dir, pending,
             num_partitions=num_partitions, merge_policy=merge_policy,
-            fs=fs, renames=renames, update_mode=update_mode,
+            fs=fs, renames=renames, update_mode=update_mode, auto_compact=auto_compact,
         )
         if m is not None:
             last = m
@@ -1351,11 +1398,21 @@ def _route_files(table_dir: str, current: mf.TableManifest, keys: list,
 
     npart = current.num_partitions or max(
         (int(p) for p in current.partitions), default=0) + 1
-    by_pid: dict[int, list] = {}
-    for k, pid in zip(keys, partition_ids(pa.array(keys), npart).to_pylist()):
-        by_pid.setdefault(pid, []).append(k)
+    arr = pa.array(keys)
+    # one hash per key: the Bloom probes hash the string form, and string
+    # keys also route on it (partition_ids is FNV-1a mod P for them)
+    if pa.types.is_string(arr.type):
+        hashes = fnv1a64(arr)
+        pids = hashes % np.uint64(npart)
+    else:
+        hashes = fnv1a64(pa.array([str(k) for k in keys], pa.string()))
+        pids = partition_ids(arr, npart).to_numpy(zero_copy_only=False)
+    by_pid: dict[int, list[int]] = {}
+    for i, pid in enumerate(pids.tolist()):
+        by_pid.setdefault(pid, []).append(i)
     out = []
-    for pid, ks in sorted(by_pid.items()):
+    for pid, idx in sorted(by_pid.items()):
+        ks = [keys[i] for i in idx]
         entry = current.partitions.get(str(pid))
         if entry is None:
             continue
@@ -1367,14 +1424,14 @@ def _route_files(table_dir: str, current: mf.TableManifest, keys: list,
         if kmin and kmax and kmin <= kmax:
             if not any(kmin <= str(k) <= kmax for k in ks):
                 continue
-        hashes = fnv1a64(pa.array([str(k) for k in ks], pa.string()))
+        probes = hashes[idx]
         rels = []
         for rel in mf.entry_rels(entry):
             try:
                 raw = fs.read_bytes(os.path.join(table_dir, rel + BLOOM_SUFFIX))
             except (FileNotFoundError, OSError):
                 raw = None  # no sidecar (older file, as-of manifest): read it
-            if raw is None or BloomFilter.from_bytes(raw).contains_many(hashes).any():
+            if raw is None or BloomFilter.from_bytes(raw).contains_many(probes).any():
                 rels.append(rel)
         if rels:
             out.append((ks, rels))

@@ -110,8 +110,11 @@ def _rewrite_partitions(
     for r in results:
         p = str(r["part"])
         partitions[p] = fold_entry(partitions[p], r)
+    # a rewrite resolves its partitions afresh, so their rows (and the
+    # total over them) may differ from what the delta commits counted
+    totals = {**current.totals, "rows": sum(e["rows"] for e in partitions.values())}
     manifest = replace(
-        current, rev=new_rev, partitions=partitions,
+        current, rev=new_rev, partitions=partitions, totals=totals,
         epoch_counters={**current.epoch_counters, **(extra_counters or {})})
     if not mf.commit(table_dir, manifest, fs):
         return None

@@ -31,7 +31,7 @@ import pytest
 from gamechanger_data_ray.core.changelog import write_changelog
 from gamechanger_data_ray.core.reconcile import unify_all
 from gamechanger_data_ray.engine import maintenance as mt
-from gamechanger_data_ray.engine.cdc import apply_epoch, replay, table_to_arrow
+from gamechanger_data_ray.engine.cdc import apply_epoch, apply_epochs, replay, table_to_arrow
 from gamechanger_data_ray.state import manifest as mf
 from gamechanger_data_ray.state.fs import StorageAdapter
 
@@ -90,20 +90,35 @@ def _mk_changelog(tmp_path) -> str:
     return cd
 
 
-@pytest.mark.parametrize("merge_policy", ["rewrite", "delta"])
-def test_crash_at_every_driver_write_point(tmp_path, merge_policy):
+# case → (merge policy, delta budget of the crashed epoch-2 commit); in
+# "fold" every partition epoch 1 gave a delta is resolved into a new base
+CASES = {"rewrite": ("rewrite", None), "delta": ("delta", None), "fold": ("delta", 1)}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_crash_at_every_driver_write_point(tmp_path, case):
+    merge_policy, auto_compact = CASES[case]
     cd = _mk_changelog(tmp_path)
 
+    def commit(td, epoch, fs=None):
+        return apply_epochs(cd, td, [epoch], num_partitions=4, merge_policy=merge_policy,
+                            fs=fs, auto_compact=auto_compact if epoch == 2 else None)
+
     # expected final state from a crash-free run
-    clean = str(tmp_path / f"clean-{merge_policy}")
-    replay(cd, clean, num_partitions=4, merge_policy=merge_policy)
+    clean = str(tmp_path / f"clean-{case}")
+    if auto_compact is None:
+        replay(cd, clean, num_partitions=4, merge_policy=merge_policy)
+    else:
+        commit(clean, 1)
+        commit(clean, 2)
+        assert mf.load_current(clean).epoch_counters["folded"] > 0
     expected = table_to_arrow(clean)
 
     # the table under test: epoch 1 committed cleanly, epoch 2 is the
     # commit we crash — so crash invisibility has a real prior state to
     # protect, and the retry exercises debris from every abort point
-    td = str(tmp_path / f"tb-{merge_policy}")
-    apply_epoch(cd, td, epoch=1, num_partitions=4, merge_policy=merge_policy)
+    td = str(tmp_path / f"tb-{case}")
+    commit(td, 1)
     base = table_to_arrow(td)
     base_epoch = mf.committed_epoch(td)
     assert base_epoch == 1
@@ -113,8 +128,7 @@ def test_crash_at_every_driver_write_point(tmp_path, merge_policy):
     while True:
         fs = CrashingAdapter(budget)
         try:
-            m = apply_epoch(cd, td, epoch=2, num_partitions=4,
-                            merge_policy=merge_policy, fs=fs)
+            m = commit(td, 2, fs=fs)
         except InjectedCrash:
             crash_points += 1
             # 1) crash invisibility: a fresh reader sees the pre-commit
@@ -130,17 +144,15 @@ def test_crash_at_every_driver_write_point(tmp_path, merge_policy):
             #    landed after the pointer swap, i.e. the commit completed
             #    and the retry is the documented idempotent no-op)
             already = mf.committed_epoch(td) == 2
-            m2 = apply_epoch(cd, td, epoch=2, num_partitions=4,
-                             merge_policy=merge_policy)
+            m2 = commit(td, 2)
             assert (m2 is None) == already
             assert mf.committed_epoch(td) == 2
             assert table_to_arrow(td).equals(expected)
             assert mt.validate_table(td)["violations"] == {}
             # reset for the next crash point: retry already committed, so
             # rebuild the pre-commit table fresh
-            td = str(tmp_path / f"tb-{merge_policy}-{budget}")
-            apply_epoch(cd, td, epoch=1, num_partitions=4,
-                        merge_policy=merge_policy)
+            td = str(tmp_path / f"tb-{case}-{budget}")
+            commit(td, 1)
             budget += 1
         else:
             # budget outlasted the whole commit: sweep complete

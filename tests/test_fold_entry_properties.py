@@ -1,12 +1,15 @@
 """Property-based tests (hypothesis) for ``cdc.fold_entry`` — the one
 driver-side function that folds worker entry rows into a partition's
-manifest entry. Random histories of the four entry kinds (copy-on-write
-epoch commit, merge-on-read delta, same-epoch revision, restamp) are
-folded and checked against a small model:
+manifest entry. Random histories of the five entry kinds (copy-on-write
+epoch commit, merge-on-read delta, merge-on-read fold into a new base,
+same-epoch revision, restamp) are folded and checked against a small
+model:
 
 1. a copy-on-write entry after ANY history equals that entry folded onto
    an empty ``prev`` (a new base supersedes everything before it);
-2. deltas are appended in order, and a base entry clears them;
+2. deltas are appended in order, and a base entry clears them; a fold
+   keeps the delta rule's watermark (the max), a copy-on-write entry
+   takes its own;
 3. widened zone maps contain every folded delta's bounds (and the
    exact bounds they widened from);
 4. the folded sketch's ``n`` is the sum of the folded ``n``s;
@@ -27,7 +30,7 @@ from gamechanger_data_ray.core.sketch import kll_from_compact
 from gamechanger_data_ray.engine.cdc import fold_entry
 from gamechanger_data_ray.engine.telemetry import sketch_stats_json
 
-KINDS = ("cow", "mor", "revision", "restamp")
+KINDS = ("cow", "mor", "fold", "revision", "restamp")
 BOUNDS = st.one_of(
     st.none(),
     st.tuples(st.integers(-50, 50), st.integers(0, 30)).map(lambda t: [t[0], t[0] + t[1]]),
@@ -56,8 +59,10 @@ def _entry(i: int, step) -> dict:
         row |= {"delta": f"part=00000/delta-e{i:06d}.parquet", "watermark_lsn": wm}
     else:
         row["file"] = f"part=00000/data-e{i:06d}r{int(kind == 'revision')}.parquet"
-        if kind == "cow":
+        if kind in ("cow", "fold"):
             row["watermark_lsn"] = wm
+        if kind == "fold":
+            row["folded"] = True
     return row
 
 
@@ -86,9 +91,9 @@ def test_fold_matches_model(history):
         n = len(step[2])
         if kind == "cow":
             assert out == fold_entry(None, entry)
-        if kind in ("cow", "revision"):
+        if kind in ("cow", "fold", "revision"):
             deltas, delta_stats, exact_stats, n_sum, mor = [], [], stats, n, False
-            wm = step[3] if kind == "cow" else wm
+            wm = {"cow": step[3], "fold": max(wm, step[3])}.get(kind, wm)
             assert out["file"] == entry["file"] and "deltas" not in out
         elif kind == "restamp":
             delta_stats, exact_stats, n_sum, mor = [], stats, n, False

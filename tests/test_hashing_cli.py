@@ -10,6 +10,8 @@ import sys
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamechanger_data_ray.core.hashing import (
     fnv1a64,
@@ -30,6 +32,32 @@ def test_fnv_matches_reference_scalar():
     assert out[0] == scalar_fnv(b"a")
     assert out[1] == scalar_fnv(b"")
     assert out[2] == scalar_fnv(b"abc")
+
+
+def _fnv_bytes(b: bytes | None) -> int:
+    """Pure-Python FNV-1a 64; a null hashes as the empty string."""
+    h = 0xCBF29CE484222325
+    for c in b or b"":
+        h = ((h ^ c) * 0x100000001B3) & ((1 << 64) - 1)
+    return h
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.text(max_size=14)), max_size=30),
+       st.integers(0, 6), st.integers(1, 4))
+def test_fnv_matches_pure_python(values, offset, pieces):
+    """Bit-identical to byte-at-a-time FNV-1a on any strings: empty,
+    non-ASCII, nulls, a slice with a nonzero offset and a chunked array."""
+    want = [_fnv_bytes(None if v is None else v.encode()) for v in values]
+    arr = pa.array(values, pa.string())
+    assert fnv1a64(arr).tolist() == want
+    assert fnv1a64(arr.slice(offset)).tolist() == want[offset:]
+    cuts = sorted({len(values) * j // pieces for j in range(pieces + 1)})
+    chunked = pa.chunked_array([arr.slice(a, b - a) for a, b in zip(cuts, cuts[1:])],
+                               pa.string())
+    assert fnv1a64(chunked).tolist() == want
+    raw = [None if v is None else v.encode("utf-16-le") for v in values]
+    assert fnv1a64(pa.array(raw, pa.binary())).tolist() == [_fnv_bytes(b) for b in raw]
 
 
 def test_partition_ids_stable_and_in_range():

@@ -437,3 +437,23 @@ def test_row_group_key_selection_matches_full_file_filter(table, tmp_path):
             _row_groups_holding(meta, whole["doc_id"][:1].to_pylist()))
     assert skipped > 0
     assert read_keys(td, keys).equals(full.filter(pc.field("doc_id").isin(keys)))
+
+
+def test_lookup_hashes_string_keys_once(table, monkeypatch):
+    """One string-key lookup hashes its keys once: the partition ids and
+    every file's Bloom probes come from the same hash, and the answer is
+    the full-scan filter's."""
+    from gamechanger_data_ray.core import hashing
+
+    full = _alive(table_to_arrow(table))
+    keys = [*full["doc_id"].to_pylist()[::5][:12], "no-such-doc"]
+    calls = []
+    fnv = hashing.fnv1a64
+    monkeypatch.setattr(hashing, "fnv1a64", lambda a: calls.append(len(a)) or fnv(a))
+    got = read_keys(table, keys)
+    assert calls == [len(keys)]
+    want = _alive(full.filter(pc.field("doc_id").isin(keys)))
+    assert got["doc_id"].to_pylist() == sorted(want["doc_id"].to_pylist())
+    assert got.select(["doc_id", "n_tok"]).equals(
+        want.take(pc.sort_indices(want, sort_keys=[("doc_id", "ascending")]))
+        .select(["doc_id", "n_tok"]))

@@ -320,11 +320,102 @@ def test_tail_delta_with_auto_compact(tmp_path):
     assert m is not None
     cur = mf.load_current(td)
     # per-poll the tail applies ALL pending epochs in one commit, so with a
-    # cold start this lands 1 delta then compaction keeps the stack <= 1+1
-    assert all(len(e.get("deltas", ())) <= 2 for e in cur.partitions.values())
+    # cold start this lands 1 delta, and the budget folds any partition
+    # that would take a second one in that same commit
+    assert all(len(e.get("deltas", ())) <= 1 for e in cur.partitions.values())
     cow = str(tmp_path / "cow")
     replay(cd, cow, num_partitions=4)
     assert table_to_arrow(td).equals(table_to_arrow(cow))
+
+
+def test_tail_folds_at_the_delta_budget(tmp_path):
+    """A tail, one epoch per commit, with auto_compact=2: a touched
+    partition already holding 2 deltas is resolved into a new base in the
+    epoch's own commit, so only rev-0 manifests exist, no partition ever
+    holds more than 2 deltas, and ``folded`` counts the rewritten bases."""
+    from gamechanger_data_ray.core.changelog import epoch_dir
+    from gamechanger_data_ray.engine.cdc import tail
+
+    src, cd, td = (str(tmp_path / n) for n in ("src", "cl", "tb"))
+    write_changelog(src, num_epochs=7, events_per_epoch=300, num_keys=100, seed=5,
+                    evolution=True, dup_frac=0.05)
+    os.makedirs(cd)
+    folded = 0
+    for e in range(1, 8):
+        os.rename(epoch_dir(src, e), epoch_dir(cd, e))  # publish one epoch
+        tail(cd, td, num_partitions=4, poll_interval=0.0, idle_polls=1, max_epochs=1,
+             merge_policy="delta", auto_compact=2)
+        cur = mf.load_current(td)
+        assert (cur.epoch, cur.rev) == (e, 0)
+        assert all(len(p.get("deltas", ())) <= 2 for p in cur.partitions.values())
+        based = [k for k, p in cur.partitions.items()
+                 if p.get("file") == f"part={int(k):05d}/data-e{e:06d}.parquet"]
+        assert cur.epoch_counters["folded"] == len(based)
+        folded += len(based)
+    assert folded > 0
+    assert sorted(os.listdir(os.path.join(td, mf.MANIFEST_DIR))) == [
+        mf.manifest_name(e) for e in range(1, 8)]
+    cow = str(tmp_path / "cow")
+    replay(cd, cow, num_partitions=4, epochs_per_commit=1)
+    assert table_to_arrow(td).equals(table_to_arrow(cow))
+    assert cur.totals == mf.load_current(cow).totals
+
+
+def test_tail_budget_fallback_compacts_an_untouched_deep_partition(tmp_path):
+    """A partition already deeper than the budget that the commit does not
+    touch is still compacted by tail's post-commit check."""
+    import pyarrow.parquet as pq
+
+    from gamechanger_data_ray.core.changelog import READY_MARKER, epoch_dir
+    from gamechanger_data_ray.core.hashing import partition_ids
+    from gamechanger_data_ray.engine.cdc import tail
+
+    cd, td = str(tmp_path / "cl"), str(tmp_path / "tb")
+    write_changelog(cd, num_epochs=4, events_per_epoch=300, num_keys=100, seed=9)
+    replay(cd, td, num_partitions=4, epochs_per_commit=1, merge_policy="delta")
+    assert all(len(p["deltas"]) == 4 for p in mf.load_current(td).partitions.values())
+    # epoch 5 re-sends epoch 4's events at lsn 5, minus every key of partition 0
+    ev = pq.read_table(glob.glob(os.path.join(epoch_dir(cd, 4), "*.parquet")))
+    ev = ev.filter(pc.not_equal(partition_ids(ev["doc_id"], 4), 0))
+    ev = ev.set_column(ev.schema.get_field_index("lsn"), "lsn",
+                       pa.array([5] * ev.num_rows, pa.int64()))
+    os.makedirs(epoch_dir(cd, 5))
+    pq.write_table(ev, os.path.join(epoch_dir(cd, 5), "part-00000.parquet"))
+    open(os.path.join(epoch_dir(cd, 5), READY_MARKER), "w").close()
+
+    m = tail(cd, td, num_partitions=4, poll_interval=0.0, idle_polls=1, max_epochs=1,
+             merge_policy="delta", auto_compact=2)
+    assert (m.epoch, m.rev) == (5, 1)  # the fold commit, then the fallback
+    assert m.epoch_counters["folded"] == 3
+    assert m.partitions["0"]["file"] == "part=00000/data-e000005r001.parquet"
+    assert all(not p.get("deltas") for p in m.partitions.values())
+    cow = str(tmp_path / "cow")
+    replay(cd, cow, num_partitions=4)
+    assert table_to_arrow(td).equals(table_to_arrow(cow))
+
+
+def test_compact_recomputes_total_rows(tmp_path):
+    """A late insert of a key that a delta deleted counts as a row at the
+    delta commit, but resolves to nothing: the compaction revision's
+    ``totals.rows`` is the sum of its partitions' rows, not the stale
+    count it inherited."""
+    import ray.data
+
+    from gamechanger_data_ray.engine.cdc import apply_events_dataset
+
+    td = str(tmp_path / "tb")
+    history = {1: [("I", "a", 1, 0), ("I", "b", 1, 1)], 2: [("D", "a", 2, 0)],
+               3: [("I", "a", 1, 5)]}
+    for e, evs in history.items():
+        t = pa.table({"op": [r[0] for r in evs], "doc_id": [r[1] for r in evs],
+                      "lsn": pa.array([r[2] for r in evs], pa.int64()),
+                      "seq": pa.array([r[3] for r in evs], pa.int64())})
+        apply_events_dataset(ray.data.from_arrow(t), td, e, t.schema, num_partitions=1,
+                             merge_policy="delta")
+    m = compact(td)
+    assert (m.epoch, m.rev) == (3, 1)
+    assert m.partitions["0"]["rows"] == table_to_arrow(td).num_rows == 1
+    assert m.totals["rows"] == 1
 
 
 def test_rewrite_epoch_folds_pending_deltas(tables, tmp_path):
